@@ -57,7 +57,7 @@
 pub mod fault;
 pub mod shard;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use shard::{Head, ShardOutcome, ShardedOutcome, ShardedRuntime};
+pub use shard::{ShardOutcome, ShardedOutcome, ShardedRuntime};
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -285,7 +285,8 @@ struct JobState {
     frame: FrameParams,
 }
 
-/// The shared head-node runtime: one instance per run, driven by a
+/// The shared head-node runtime: one instance per shard of a run's
+/// [`ShardedRuntime`] (an unsharded run has exactly one), driven by a
 /// substrate-specific event loop.
 ///
 /// The driving loop's contract:

@@ -22,6 +22,13 @@
 //! live service — the same parity argument as the single head, applied
 //! per shard.
 //!
+//! Every run's head is a `ShardedRuntime`; an unsharded run is one shard.
+//! One shard routes nowhere, so the routing tier is a pass-through: it
+//! emits no [`TraceEvent::ShardAssigned`], steals nothing, takes no
+//! degraded-mode pressure from node faults, refuses every shard failure,
+//! and hands back the shard's own [`RuntimeOutcome`] untouched — the run
+//! is the bare [`HeadRuntime`], bit for bit.
+//!
 //! Saturation and migration: at each cycle boundary a shard whose
 //! admission buffer exceeds the saturation threshold emits
 //! [`TraceEvent::ShardSaturated`] and its buffered *batch* jobs are
@@ -39,15 +46,15 @@
 //! ([`TraceEvent::ShardFailed`] / [`TraceEvent::ShardRecovered`]), and
 //! every admitted-but-unfinished job drained off the dead head is
 //! re-admitted exactly once on its dataset's new home shard. Because the
-//! caller power-cycles the dead slice's render nodes first, no stale
-//! completion can race the rebuilt control state. Sustained fault
-//! pressure (node faults, shard loss) drives an explicit *degraded mode*
-//! with hysteresis: while degraded, new batch arrivals are shed
-//! ([`RejectReason::Degraded`]) so surviving capacity protects
+//! caller power-cycles the slice [`ShardedRuntime::failover_nodes`]
+//! names first, no stale completion can race the rebuilt control state.
+//! Sustained fault pressure (node faults, shard loss) drives an explicit
+//! *degraded mode* with hysteresis: while degraded, new batch arrivals
+//! are shed ([`RejectReason::Degraded`]) so surviving capacity protects
 //! interactive sessions; pressure decays at cycle boundaries and batch
 //! admission resumes below the exit threshold.
 
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::data::Catalog;
 use vizsched_core::ids::{ChunkId, DatasetId, NodeId, ShardId};
@@ -62,24 +69,18 @@ use crate::{
     OverloadStats, RuntimeOutcome, Substrate,
 };
 
-/// One shard's view of the cluster: local node index → global node id.
-/// Starts as the shard's contiguous [`ShardMap`] span and grows when the
-/// shard adopts nodes from a failed peer, so the translation is a lookup,
-/// not a base offset. Shared between the routing tier and the shard's
-/// probe adapter (reads vastly outnumber the rare failover write).
-type LocalView = Arc<RwLock<Vec<u32>>>;
-
 /// A substrate adapter translating one shard's local node indices to the
 /// cluster-global numbering of the wrapped substrate.
 struct ShardSub<'a, S: Substrate> {
     inner: &'a mut S,
-    locals: LocalView,
+    /// The shard's view: local node index → global node id.
+    locals: &'a [u32],
 }
 
 impl<S: Substrate> Substrate for ShardSub<'_, S> {
     fn dispatch(&mut self, assignment: &Assignment) -> bool {
         let mut global = *assignment;
-        global.node = NodeId(self.locals.read().expect("locals lock")[global.node.0 as usize]);
+        global.node = NodeId(self.locals[global.node.0 as usize]);
         self.inner.dispatch(&global)
     }
 }
@@ -89,7 +90,17 @@ impl<S: Substrate> Substrate for ShardSub<'_, S> {
 /// cluster. Events without a node field pass through untouched.
 struct ShardProbe {
     inner: Arc<dyn Probe>,
-    locals: LocalView,
+    /// Snapshot of the shard's view, replaced when the shard adopts nodes.
+    locals: Arc<[u32]>,
+}
+
+/// The probe a shard's runtime reports through, translating over a
+/// snapshot of the shard's current view.
+fn shard_probe(inner: &Arc<dyn Probe>, locals: &[u32]) -> Arc<dyn Probe> {
+    Arc::new(ShardProbe {
+        inner: inner.clone(),
+        locals: locals.into(),
+    })
 }
 
 impl Probe for ShardProbe {
@@ -107,7 +118,7 @@ impl Probe for ShardProbe {
             | TraceEvent::CacheEvict { node, .. }
             | TraceEvent::NodeFault { node, .. }
             | TraceEvent::NodeUp { node, .. } => {
-                node.0 = self.locals.read().expect("locals lock")[node.0 as usize];
+                node.0 = self.locals[node.0 as usize];
             }
             _ => {}
         }
@@ -173,7 +184,8 @@ pub struct ShardedOutcome {
 /// The driving contract is [`HeadRuntime`]'s, verbatim — arrivals,
 /// cycles, completions, faults — with all node ids cluster-global; the
 /// sharded runtime routes each call to the owning shard and translates
-/// numbering both ways.
+/// numbering both ways. It is the head of every run on both substrates:
+/// with one shard it is a pass-through over that shard's runtime.
 pub struct ShardedRuntime {
     shards: Vec<HeadRuntime>,
     map: ShardMap,
@@ -183,11 +195,11 @@ pub struct ShardedRuntime {
     /// boundary).
     saturation: Vec<usize>,
     counters: Vec<ShardCounters>,
-    /// Per-shard local→global node translation; grows on adoption.
-    locals: Vec<LocalView>,
-    /// Snapshot of a dead shard's final local view, kept so its per-node
-    /// counters still merge under the right global ids at the end.
-    retired: Vec<Vec<u32>>,
+    /// Per-shard local→global node translation. Starts as the shard's
+    /// contiguous [`ShardMap`] span and grows when the shard adopts nodes
+    /// from a failed peer; a dead shard keeps its final view so its
+    /// per-node counters still merge under the right global ids.
+    locals: Vec<Vec<u32>>,
     /// Global node id → (owning shard index, local index there). Updated
     /// when survivors adopt a dead shard's slice.
     owner_of: Vec<(u32, u32)>,
@@ -223,7 +235,7 @@ impl ShardedRuntime {
     pub const DEGRADED_EXIT: u32 = 1;
 
     /// Build a sharded runtime over `cluster`, partitioned into `shards`
-    /// topology-aware slices.
+    /// topology-aware slices (one shard runs the unsharded head).
     ///
     /// `build` constructs one shard's [`HeadRuntime`] from its slice of
     /// the cluster and its (node-translating) probe — the caller picks
@@ -251,20 +263,15 @@ impl ShardedRuntime {
         let ring = HashRing::with_shards(shards);
         let mut runtimes = Vec::with_capacity(shards);
         let mut saturation = Vec::with_capacity(shards);
-        let mut locals: Vec<LocalView> = Vec::with_capacity(shards);
+        let mut locals = Vec::with_capacity(shards);
         for span in map.spans() {
             let slice = ClusterSpec {
                 nodes: cluster.nodes[span.base as usize..(span.base + span.nodes) as usize]
                     .to_vec(),
             };
-            let view: LocalView =
-                Arc::new(RwLock::new((span.base..span.base + span.nodes).collect()));
-            let shard_probe: Arc<dyn Probe> = Arc::new(ShardProbe {
-                inner: probe.clone(),
-                locals: view.clone(),
-            });
+            let view: Vec<u32> = (span.base..span.base + span.nodes).collect();
+            let runtime = build(span.shard, &slice, shard_probe(&probe, &view));
             locals.push(view);
-            let runtime = build(span.shard, &slice, shard_probe);
             assert_eq!(
                 runtime.tables().node_count(),
                 span.nodes as usize,
@@ -292,7 +299,6 @@ impl ShardedRuntime {
             saturation,
             counters,
             locals,
-            retired: vec![Vec::new(); shards],
             owner_of,
             dead: vec![false; shards],
             quotas,
@@ -344,14 +350,35 @@ impl ShardedRuntime {
     }
 
     /// The global node ids a shard currently owns (its original slice
-    /// plus adoptions, minus anything it was itself — empty once dead).
+    /// plus adoptions — empty once dead).
     pub fn shard_nodes(&self, shard: ShardId) -> Vec<NodeId> {
+        if self.dead[shard.index()] {
+            return Vec::new();
+        }
         self.locals[shard.index()]
-            .read()
-            .expect("locals lock")
             .iter()
             .map(|&g| NodeId(g))
             .collect()
+    }
+
+    /// Whether [`Self::on_shard_fail`] would fail `shard` over: its head
+    /// is alive and another live shard remains to adopt its slice.
+    fn can_fail_over(&self, shard: ShardId) -> bool {
+        !self.dead[shard.index()] && self.dead.iter().filter(|&&d| !d).count() > 1
+    }
+
+    /// The render nodes a substrate must power-cycle before calling
+    /// [`Self::on_shard_fail`] for `shard`: the shard's current slice when
+    /// failover will happen, and nothing when it will be refused (the
+    /// head is already dead, or it is the last live shard) — a refused
+    /// crash must leave every node, and the admitted work queued on it,
+    /// alone.
+    pub fn failover_nodes(&self, shard: ShardId) -> Vec<NodeId> {
+        if self.can_fail_over(shard) {
+            self.shard_nodes(shard)
+        } else {
+            Vec::new()
+        }
     }
 
     /// Whether a shard's head has died.
@@ -453,17 +480,26 @@ impl ShardedRuntime {
     }
 
     /// Route one arriving job to its shard and hand it to that shard's
-    /// runtime. Returns the owning shard alongside the shard's admission
-    /// verdict. Emits [`TraceEvent::ShardAssigned`] for every admitted
-    /// arrival. While degraded, new *batch* arrivals are shed with
-    /// [`RejectReason::Degraded`] before they reach a shard — surviving
-    /// capacity is reserved for interactive sessions.
+    /// runtime, returning the shard's admission verdict. Emits [`TraceEvent::ShardAssigned`] for every admitted
+    /// arrival when there is more than one shard. While degraded, new
+    /// *batch* arrivals are shed with [`RejectReason::Degraded`] before
+    /// they reach a shard — surviving capacity is reserved for
+    /// interactive sessions.
+    ///
+    /// This is the one entry point shared by both substrates, so it is
+    /// where [`Probe::on_job_offered`] fires — exactly once per offered
+    /// job, before any shedding. Internal re-admissions (batch migration,
+    /// shard failover) go straight to the per-shard runtimes and never
+    /// re-fire it.
     pub fn on_job_arrival<S: Substrate>(
         &mut self,
         sub: &mut S,
         now: SimTime,
         job: Job,
-    ) -> (ShardId, Admission) {
+    ) -> Admission {
+        if self.probe.enabled() {
+            self.probe.on_job_offered(now, &job);
+        }
         let shard = self.ring.shard_for_dataset(job.dataset);
         if self.degraded && !job.kind.is_interactive() {
             self.degraded_shed += 1;
@@ -474,23 +510,19 @@ impl ShardedRuntime {
                     reason: RejectReason::Degraded,
                 });
             }
-            return (shard, Admission::Rejected(RejectReason::Degraded));
+            return Admission::Rejected(RejectReason::Degraded);
         }
-        self.counters[shard.index()].assigned += 1;
-        if self.probe.enabled() {
+        let s = shard.index();
+        self.counters[s].assigned += 1;
+        if self.shards.len() > 1 && self.probe.enabled() {
             self.probe.on_event(&TraceEvent::ShardAssigned {
                 now,
                 job: job.id,
                 shard,
             });
         }
-        let locals = self.locals[shard.index()].clone();
-        let admission = self.shards[shard.index()].on_job_arrival(
-            &mut ShardSub { inner: sub, locals },
-            now,
-            job,
-        );
-        (shard, admission)
+        let locals = &self.locals[s];
+        self.shards[s].on_job_arrival(&mut ShardSub { inner: sub, locals }, now, job)
     }
 
     /// Run one cycle boundary across every shard: first the saturation
@@ -508,7 +540,7 @@ impl ShardedRuntime {
             if self.dead[i] {
                 continue;
             }
-            let locals = self.locals[i].clone();
+            let locals = &self.locals[i];
             let shard_outcome = self.shards[i].on_cycle(&mut ShardSub { inner: sub, locals }, now);
             outcome.invoked |= shard_outcome.invoked;
             outcome.expired.extend(shard_outcome.expired);
@@ -566,7 +598,7 @@ impl ShardedRuntime {
                         to: ShardId(to as u32),
                     });
                 }
-                let locals = self.locals[to].clone();
+                let locals = &self.locals[to];
                 // Batch is admitted unconditionally and never coalesced,
                 // so re-arrival cannot bounce.
                 let admission =
@@ -599,7 +631,9 @@ impl ShardedRuntime {
     /// Handle a (global) node fault on its owning shard. Rerouting stays
     /// inside the shard: its surviving nodes are the ones with the dead
     /// node's data locality, and node ownership only changes at shard
-    /// failover. A fresh fault raises degraded-mode pressure.
+    /// failover. With more than one shard, a fresh fault raises
+    /// degraded-mode pressure (a lone head has no routing tier to shed
+    /// at).
     pub fn on_node_fault<S: Substrate>(
         &mut self,
         sub: &mut S,
@@ -608,10 +642,10 @@ impl ShardedRuntime {
     ) -> usize {
         let (shard, local) = self.locate(node);
         let fresh = !self.shards[shard].is_node_down(local);
-        let locals = self.locals[shard].clone();
+        let locals = &self.locals[shard];
         let lost =
             self.shards[shard].on_node_fault(&mut ShardSub { inner: sub, locals }, now, local);
-        if fresh {
+        if fresh && self.shards.len() > 1 {
             self.bump_pressure(now, Self::NODE_FAULT_PRESSURE);
         }
         lost
@@ -636,29 +670,30 @@ impl ShardedRuntime {
     /// admitted). Interactive sessions re-pin to the new home — the ring
     /// gives every surviving client of a dataset the same answer.
     ///
-    /// The caller must power-cycle the dead slice's render nodes *before*
-    /// calling this, so completions dispatched by the dead head can never
-    /// race the rebuilt control state; adopted nodes therefore join
-    /// cold-cached and idle, which is exactly what [`HeadRuntime::adopt_node`]
-    /// records.
+    /// The caller must power-cycle the render nodes
+    /// [`Self::failover_nodes`] names *before* calling this, so
+    /// completions dispatched by the dead head can never race the rebuilt
+    /// control state; adopted nodes therefore join cold-cached and idle,
+    /// which is exactly what [`HeadRuntime::adopt_node`] records.
     ///
     /// Returns the number of orphaned jobs re-admitted. A second failure
-    /// of the same shard and the loss of the last live shard are no-ops
-    /// (there is nothing left to fail over to).
+    /// of the same shard and the loss of the last live shard — the only
+    /// shard of an unsharded run included — are no-ops (there is nothing
+    /// left to fail over to).
     pub fn on_shard_fail<S: Substrate>(
         &mut self,
         sub: &mut S,
         now: SimTime,
         shard: ShardId,
     ) -> usize {
-        let s = shard.index();
-        if self.dead[s] || self.dead.iter().filter(|&&d| !d).count() <= 1 {
+        if !self.can_fail_over(shard) {
             return 0;
         }
+        let s = shard.index();
         self.dead[s] = true;
         self.ring.remove_shard(shard);
         let drained = self.shards[s].drain_for_failover();
-        let slice = std::mem::take(&mut *self.locals[s].write().expect("locals lock"));
+        let slice = self.locals[s].clone();
         let tracing = self.probe.enabled();
         if tracing {
             self.probe.on_event(&TraceEvent::ShardFailed {
@@ -675,20 +710,22 @@ impl ShardedRuntime {
         for (k, &g) in slice.iter().enumerate() {
             let tgt = survivors[k % survivors.len()];
             let local = self.shards[tgt].adopt_node(now, self.quotas[g as usize]);
-            self.locals[tgt].write().expect("locals lock").push(g);
+            self.locals[tgt].push(g);
             self.owner_of[g as usize] = (tgt as u32, local.0);
             adopted[tgt] += 1;
         }
-        self.retired[s] = slice;
-        if tracing {
-            for (i, &n) in adopted.iter().enumerate() {
-                if n > 0 {
-                    self.probe.on_event(&TraceEvent::ShardRecovered {
-                        now,
-                        shard: ShardId(i as u32),
-                        adopted: n,
-                    });
-                }
+        for (i, &n) in adopted.iter().enumerate() {
+            if n == 0 {
+                continue;
+            }
+            // The adopter's view grew: its probe needs the new snapshot.
+            self.shards[i].probe = shard_probe(&self.probe, &self.locals[i]);
+            if tracing {
+                self.probe.on_event(&TraceEvent::ShardRecovered {
+                    now,
+                    shard: ShardId(i as u32),
+                    adopted: n,
+                });
             }
         }
         self.bump_pressure(now, Self::SHARD_FAIL_PRESSURE);
@@ -708,47 +745,41 @@ impl ShardedRuntime {
                     shard: to,
                 });
             }
-            let locals = self.locals[t].clone();
+            let locals = &self.locals[t];
             self.shards[t].on_job_arrival(&mut ShardSub { inner: sub, locals }, now, job);
         }
         orphaned
     }
 
     /// Consume the runtime into the merged cluster-global outcome plus
-    /// the per-shard breakdown.
+    /// the per-shard breakdown (one entry per shard). A single shard's
+    /// outcome is handed back untouched.
     pub fn into_outcome(self) -> ShardedOutcome {
         let ShardedRuntime {
             shards,
             map,
             counters,
             locals,
-            retired,
-            dead,
             degraded_shed,
             ..
         } = self;
+        let single = shards.len() == 1;
         let mut per_node = vec![NodeCounters::default(); map.total_nodes()];
         let mut per_shard = Vec::with_capacity(shards.len());
         let mut merged: Option<RuntimeOutcome> = None;
         let mut latency_weighted = 0.0;
-        for ((((runtime, span), counters), view), retired_view) in shards
+        for (((runtime, span), counters), view) in shards
             .into_iter()
             .zip(map.spans())
             .zip(counters)
             .zip(locals)
-            .zip(retired)
         {
             let outcome = runtime.into_outcome();
-            // A dead shard's final view was snapshotted at failover; a
-            // live shard's view may have grown past its span by adopting
-            // nodes. Either way the merge is additive: after a failover,
-            // work on one physical node is split between its original
-            // owner's counters and its adopter's.
-            let view = if dead[span.shard.index()] {
-                retired_view
-            } else {
-                std::mem::take(&mut *view.write().expect("locals lock"))
-            };
+            // A shard's view may have grown past its span by adopting
+            // nodes (a dead shard's is its view at failover). Either way
+            // the merge is additive: after a failover, work on one
+            // physical node is split between its original owner's
+            // counters and its adopter's.
             debug_assert_eq!(view.len(), outcome.per_node.len());
             for (local, c) in outcome.per_node.iter().enumerate() {
                 let g = view[local] as usize;
@@ -793,243 +824,21 @@ impl ShardedRuntime {
             });
         }
         let mut merged = merged.expect("at least one shard");
-        // Shards retire jobs independently; restore one cluster-wide
-        // arrival order (ids are assigned in arrival order).
-        merged.record.jobs.sort_unstable_by_key(|j| j.id);
-        merged.per_node = per_node;
-        merged.mean_latency_secs = if merged.jobs_completed > 0 {
-            latency_weighted / merged.jobs_completed as f64
-        } else {
-            0.0
-        };
+        if !single {
+            // Shards retire jobs independently; restore one cluster-wide
+            // arrival order (ids are assigned in arrival order).
+            merged.record.jobs.sort_unstable_by_key(|j| j.id);
+            merged.per_node = per_node;
+            merged.mean_latency_secs = if merged.jobs_completed > 0 {
+                latency_weighted / merged.jobs_completed as f64
+            } else {
+                0.0
+            };
+        }
         ShardedOutcome {
             merged,
             per_shard,
             degraded_shed,
-        }
-    }
-}
-
-/// The head of a run: either the paper's single head node or the sharded
-/// control plane, behind one driving contract so the simulator's engine
-/// and the live service hold a single field and stay oblivious to which
-/// they got. `shards <= 1` stays [`Head::Single`] — an unsharded run is
-/// the unmodified [`HeadRuntime`], bit for bit (no routing events, no
-/// translation layer).
-#[allow(clippy::large_enum_variant)]
-pub enum Head {
-    /// The unmodified single head node.
-    Single(HeadRuntime),
-    /// The sharded control plane.
-    Sharded(ShardedRuntime),
-}
-
-impl Head {
-    /// Install an overload policy (on every shard, when sharded).
-    pub fn set_overload_policy(&mut self, policy: OverloadPolicy) {
-        match self {
-            Head::Single(rt) => rt.set_overload_policy(policy),
-            Head::Sharded(rt) => rt.set_overload_policy(policy),
-        }
-    }
-
-    /// Aggregate overload counters.
-    pub fn overload_stats(&self) -> OverloadStats {
-        match self {
-            Head::Single(rt) => rt.overload_stats(),
-            Head::Sharded(rt) => rt.overload_stats(),
-        }
-    }
-
-    /// The policy's invocation trigger.
-    pub fn trigger(&self) -> Trigger {
-        match self {
-            Head::Single(rt) => rt.trigger(),
-            Head::Sharded(rt) => rt.trigger(),
-        }
-    }
-
-    /// Whether any head holds deferred work.
-    pub fn has_deferred(&self) -> bool {
-        match self {
-            Head::Single(rt) => rt.has_deferred(),
-            Head::Sharded(rt) => rt.has_deferred(),
-        }
-    }
-
-    /// The policy's display name.
-    pub fn scheduler_name(&self) -> &str {
-        match self {
-            Head::Single(rt) => rt.scheduler_name(),
-            Head::Sharded(rt) => rt.scheduler_name(),
-        }
-    }
-
-    /// The decomposition catalog.
-    pub fn catalog(&self) -> &Catalog {
-        match self {
-            Head::Single(rt) => rt.catalog(),
-            Head::Sharded(rt) => rt.catalog(),
-        }
-    }
-
-    /// Jobs buffered for the next cycle, cluster-wide.
-    pub fn queued_jobs(&self) -> usize {
-        match self {
-            Head::Single(rt) => rt.queued_jobs(),
-            Head::Sharded(rt) => rt.queued_jobs(),
-        }
-    }
-
-    /// Jobs fully completed, cluster-wide.
-    pub fn jobs_completed(&self) -> u64 {
-        match self {
-            Head::Single(rt) => rt.jobs_completed(),
-            Head::Sharded(rt) => rt.jobs_completed(),
-        }
-    }
-
-    /// Whether a (global) node is currently marked down.
-    pub fn is_node_down(&self, node: NodeId) -> bool {
-        match self {
-            Head::Single(rt) => rt.is_node_down(node),
-            Head::Sharded(rt) => rt.is_node_down(node),
-        }
-    }
-
-    /// The shard a dataset routes to; `None` for a single head.
-    pub fn shard_of_dataset(&self, dataset: DatasetId) -> Option<ShardId> {
-        match self {
-            Head::Single(_) => None,
-            Head::Sharded(rt) => Some(rt.shard_of_dataset(dataset)),
-        }
-    }
-
-    /// Seed one `Estimate[c]` prior.
-    pub fn seed_estimate(&mut self, chunk: ChunkId, estimate: SimDuration) {
-        match self {
-            Head::Single(rt) => rt.tables_mut().estimate.record(chunk, estimate),
-            Head::Sharded(rt) => rt.seed_estimate(chunk, estimate),
-        }
-    }
-
-    /// Mirror a pre-run cache placement (global node numbering).
-    pub fn record_warm_load(&mut self, node: NodeId, chunk: ChunkId, bytes: u64) {
-        match self {
-            Head::Single(rt) => rt.record_warm_load(node, chunk, bytes),
-            Head::Sharded(rt) => rt.record_warm_load(node, chunk, bytes),
-        }
-    }
-
-    /// Accept one job (routing it to its shard first, when sharded).
-    ///
-    /// This is the one entry point shared by both substrates, so it is
-    /// where [`Probe::on_job_offered`] fires — exactly once per offered
-    /// job. The sharded runtime re-admits jobs internally during batch
-    /// migration and shard failover through the per-shard runtimes,
-    /// which bypass this method and therefore never double-record.
-    pub fn on_job_arrival<S: Substrate>(
-        &mut self,
-        sub: &mut S,
-        now: SimTime,
-        job: Job,
-    ) -> Admission {
-        match self {
-            Head::Single(rt) => {
-                if rt.probe.enabled() {
-                    rt.probe.on_job_offered(now, &job);
-                }
-                rt.on_job_arrival(sub, now, job)
-            }
-            Head::Sharded(rt) => {
-                if rt.probe.enabled() {
-                    rt.probe.on_job_offered(now, &job);
-                }
-                rt.on_job_arrival(sub, now, job).1
-            }
-        }
-    }
-
-    /// Run one cycle boundary (on every shard, when sharded).
-    pub fn on_cycle<S: Substrate>(&mut self, sub: &mut S, now: SimTime) -> CycleOutcome {
-        match self {
-            Head::Single(rt) => rt.on_cycle(sub, now),
-            Head::Sharded(rt) => rt.on_cycle(sub, now),
-        }
-    }
-
-    /// Apply one completion (global node numbering).
-    pub fn on_task_done(&mut self, now: SimTime, done: Completion) -> Option<JobFinish> {
-        match self {
-            Head::Single(rt) => rt.on_task_done(now, done),
-            Head::Sharded(rt) => rt.on_task_done(now, done),
-        }
-    }
-
-    /// Handle a (global) node fault.
-    pub fn on_node_fault<S: Substrate>(
-        &mut self,
-        sub: &mut S,
-        now: SimTime,
-        node: NodeId,
-    ) -> usize {
-        match self {
-            Head::Single(rt) => rt.on_node_fault(sub, now, node),
-            Head::Sharded(rt) => rt.on_node_fault(sub, now, node),
-        }
-    }
-
-    /// Handle a (global) node rejoining.
-    pub fn on_node_recover(&mut self, now: SimTime, node: NodeId) {
-        match self {
-            Head::Single(rt) => rt.on_node_recover(now, node),
-            Head::Sharded(rt) => rt.on_node_recover(now, node),
-        }
-    }
-
-    /// Survive one shard head's loss; see
-    /// [`ShardedRuntime::on_shard_fail`]. A single head has no failover
-    /// target, so the call is a no-op returning zero.
-    pub fn on_shard_fail<S: Substrate>(
-        &mut self,
-        sub: &mut S,
-        now: SimTime,
-        shard: ShardId,
-    ) -> usize {
-        match self {
-            Head::Single(_) => 0,
-            Head::Sharded(rt) => rt.on_shard_fail(sub, now, shard),
-        }
-    }
-
-    /// The global node ids a shard currently owns; empty for a single
-    /// head (which has no shard slices).
-    pub fn shard_nodes(&self, shard: ShardId) -> Vec<NodeId> {
-        match self {
-            Head::Single(_) => Vec::new(),
-            Head::Sharded(rt) => rt.shard_nodes(shard),
-        }
-    }
-
-    /// Whether the routing tier is shedding batch arrivals; a single
-    /// head has no degraded mode.
-    pub fn is_degraded(&self) -> bool {
-        match self {
-            Head::Single(_) => false,
-            Head::Sharded(rt) => rt.is_degraded(),
-        }
-    }
-
-    /// Consume the head into its outcome. A single head reports an empty
-    /// per-shard list.
-    pub fn into_outcome(self) -> ShardedOutcome {
-        match self {
-            Head::Single(rt) => ShardedOutcome {
-                merged: rt.into_outcome(),
-                per_shard: Vec::new(),
-                degraded_shed: 0,
-            },
-            Head::Sharded(rt) => rt.into_outcome(),
         }
     }
 }
@@ -1135,12 +944,11 @@ mod tests {
         let mut rt = sharded(8, 4, SchedulerKind::Fcfsl, 16, probe.clone(), None);
         let mut sub = StubSubstrate::default();
         for d in 0..16u32 {
-            let (shard, admission) = rt.on_job_arrival(
+            let admission = rt.on_job_arrival(
                 &mut sub,
                 SimTime::ZERO,
                 interactive(d as u64, d, SimTime::ZERO),
             );
-            assert_eq!(shard, rt.shard_of_dataset(DatasetId(d)));
             assert_eq!(admission, Admission::Scheduled);
         }
         // Every dispatched task landed on a node of its job's shard.
@@ -1301,46 +1109,218 @@ mod tests {
         assert!(!rt.is_node_down(victim));
     }
 
+    /// The driving contract shared by a bare [`HeadRuntime`] and a
+    /// [`ShardedRuntime`], so one script can feed both.
+    trait Drive {
+        fn arrive(&mut self, sub: &mut StubSubstrate, now: SimTime, job: Job);
+        fn cycle(&mut self, sub: &mut StubSubstrate, now: SimTime);
+        fn done(&mut self, now: SimTime, done: Completion);
+        fn fault(&mut self, sub: &mut StubSubstrate, now: SimTime, node: NodeId);
+        fn recover(&mut self, now: SimTime, node: NodeId);
+        fn shard_fail(&mut self, sub: &mut StubSubstrate, now: SimTime) -> usize;
+        fn has_deferred(&self) -> bool;
+    }
+
+    impl Drive for HeadRuntime {
+        fn arrive(&mut self, sub: &mut StubSubstrate, now: SimTime, job: Job) {
+            self.on_job_arrival(sub, now, job);
+        }
+        fn cycle(&mut self, sub: &mut StubSubstrate, now: SimTime) {
+            self.on_cycle(sub, now);
+        }
+        fn done(&mut self, now: SimTime, done: Completion) {
+            self.on_task_done(now, done);
+        }
+        fn fault(&mut self, sub: &mut StubSubstrate, now: SimTime, node: NodeId) {
+            self.on_node_fault(sub, now, node);
+        }
+        fn recover(&mut self, now: SimTime, node: NodeId) {
+            self.on_node_recover(now, node);
+        }
+        fn shard_fail(&mut self, _: &mut StubSubstrate, _: SimTime) -> usize {
+            0
+        }
+        fn has_deferred(&self) -> bool {
+            HeadRuntime::has_deferred(self)
+        }
+    }
+
+    impl Drive for ShardedRuntime {
+        fn arrive(&mut self, sub: &mut StubSubstrate, now: SimTime, job: Job) {
+            self.on_job_arrival(sub, now, job);
+        }
+        fn cycle(&mut self, sub: &mut StubSubstrate, now: SimTime) {
+            self.on_cycle(sub, now);
+        }
+        fn done(&mut self, now: SimTime, done: Completion) {
+            self.on_task_done(now, done);
+        }
+        fn fault(&mut self, sub: &mut StubSubstrate, now: SimTime, node: NodeId) {
+            self.on_node_fault(sub, now, node);
+        }
+        fn recover(&mut self, now: SimTime, node: NodeId) {
+            self.on_node_recover(now, node);
+        }
+        fn shard_fail(&mut self, sub: &mut StubSubstrate, now: SimTime) -> usize {
+            self.on_shard_fail(sub, now, ShardId(0))
+        }
+        fn has_deferred(&self) -> bool {
+            ShardedRuntime::has_deferred(self)
+        }
+    }
+
+    /// Arrivals, cycles, completions, two node faults (enough pressure to
+    /// enter degraded mode on a multi-shard runtime), batch arrivals
+    /// after them, a refused shard failure, a recovery, then cycles and
+    /// completions until the work drains.
+    fn parity_script<D: Drive>(rt: &mut D, sub: &mut StubSubstrate) {
+        let ms = SimTime::from_millis;
+        // Dispatches not yet completed; a node fault drops the ones on
+        // the dead node (the runtime re-dispatches them elsewhere).
+        let mut pending: Vec<Assignment> = Vec::new();
+        let mut seen = 0;
+        let mut collect = |sub: &StubSubstrate, pending: &mut Vec<Assignment>| {
+            pending.extend_from_slice(&sub.dispatched[seen..]);
+            seen = sub.dispatched.len();
+        };
+        let complete = |rt: &mut D, pending: &mut Vec<Assignment>, now: SimTime, n: usize| {
+            let n = n.min(pending.len());
+            for (i, a) in pending.drain(..n).enumerate() {
+                let mut done = completion_for(&a, now);
+                done.finish = now + SimDuration::from_micros(700 * (i as u64 % 7 + 1));
+                done.miss = i % 3 != 0;
+                rt.done(done.finish, done);
+            }
+        };
+        // Ids against arrival order: the record keeps arrival order.
+        for id in (0..8u64).rev() {
+            let job = if id % 2 == 0 {
+                interactive(id, (id % 4) as u32, ms(1))
+            } else {
+                batch(id, (id % 4) as u32, ms(1))
+            };
+            rt.arrive(sub, ms(1), job);
+        }
+        rt.cycle(sub, ms(30));
+        collect(sub, &mut pending);
+        complete(rt, &mut pending, ms(40), 5);
+        for id in 8..12u64 {
+            rt.arrive(sub, ms(45), interactive(id, (id % 4) as u32, ms(45)));
+        }
+        collect(sub, &mut pending);
+        for node in [NodeId(1), NodeId(2)] {
+            pending.retain(|a| a.node != node);
+            rt.fault(sub, ms(50), node);
+            collect(sub, &mut pending);
+        }
+        for id in 12..16u64 {
+            rt.arrive(sub, ms(52), batch(id, (id % 4) as u32, ms(52)));
+        }
+        assert_eq!(
+            rt.shard_fail(sub, ms(53)),
+            0,
+            "a lone head cannot fail over"
+        );
+        rt.cycle(sub, ms(60));
+        collect(sub, &mut pending);
+        rt.recover(ms(70), NodeId(1));
+        for k in 3..40u64 {
+            let now = ms(30 * k);
+            rt.cycle(sub, now);
+            collect(sub, &mut pending);
+            complete(rt, &mut pending, now + SimDuration::from_millis(1), 4);
+            if pending.is_empty() && !rt.has_deferred() && k > 6 {
+                break;
+            }
+        }
+    }
+
+    /// Wall-clock fields differ between two runs by construction.
+    fn scrub(mut events: Vec<TraceEvent>) -> Vec<TraceEvent> {
+        for e in &mut events {
+            if let TraceEvent::CycleEnd { wall_micros, .. } = e {
+                *wall_micros = 0;
+            }
+        }
+        events
+    }
+
     #[test]
     fn single_shard_matches_single_head_placements() {
-        // With one shard the routing tier must be a pass-through: same
-        // placements as a bare HeadRuntime over the same cluster.
-        let cluster = ClusterSpec::homogeneous(4, 2 * GIB);
-        let catalog = Catalog::new(
-            uniform_datasets(4, 2 * GIB),
-            DecompositionPolicy::MaxChunkSize { max_bytes: GIB },
-        );
-        let mut single = HeadRuntime::new(
-            SchedulerKind::Fcfsl.build(SimDuration::from_millis(30)),
-            HeadTables::new(&cluster),
-            catalog.clone(),
-            CostParams::default(),
-            Arc::new(vizsched_metrics::NoopProbe),
-            "single",
-        );
-        let mut sharded = sharded(
-            4,
-            1,
-            SchedulerKind::Fcfsl,
-            4,
-            Arc::new(vizsched_metrics::NoopProbe),
-            None,
-        );
-        let mut sub_a = StubSubstrate::default();
-        let mut sub_b = StubSubstrate::default();
-        for d in 0..4u32 {
-            single.on_job_arrival(
-                &mut sub_a,
-                SimTime::ZERO,
-                interactive(d as u64, d, SimTime::ZERO),
+        // With one shard the routing tier must be a pass-through: the
+        // same dispatches, the same probe stream and the same outcome as
+        // a bare HeadRuntime over the same cluster, for every policy.
+        for kind in SchedulerKind::ALL
+            .into_iter()
+            .chain(SchedulerKind::EXTENDED)
+        {
+            let catalog = Catalog::new(
+                uniform_datasets(4, 2 * GIB),
+                DecompositionPolicy::MaxChunkSize { max_bytes: GIB },
             );
-            sharded.on_job_arrival(
-                &mut sub_b,
-                SimTime::ZERO,
-                interactive(d as u64, d, SimTime::ZERO),
+            let probe_a = Arc::new(CollectingProbe::new());
+            let mut single = HeadRuntime::new(
+                kind.build(SimDuration::from_millis(30)),
+                HeadTables::new(&ClusterSpec::homogeneous(4, 2 * GIB)),
+                catalog,
+                CostParams::default(),
+                probe_a.clone(),
+                "shard-unit",
             );
+            let probe_b = Arc::new(CollectingProbe::new());
+            let mut one = sharded(4, 1, kind, 4, probe_b.clone(), None);
+            let mut sub_a = StubSubstrate::default();
+            let mut sub_b = StubSubstrate::default();
+            parity_script(&mut single, &mut sub_a);
+            parity_script(&mut one, &mut sub_b);
+
+            let name = kind.name();
+            assert!(
+                !sub_a.dispatched.is_empty(),
+                "{name}: script dispatched nothing"
+            );
+            assert_eq!(sub_a.dispatched, sub_b.dispatched, "{name}: dispatches");
+            let (events_a, events_b) = (scrub(probe_a.take()), scrub(probe_b.take()));
+            assert!(
+                events_a
+                    .iter()
+                    .any(|e| matches!(e, TraceEvent::NodeFault { .. })),
+                "{name}: script faulted no node"
+            );
+            assert_eq!(events_a, events_b, "{name}: probe streams");
+
+            let a = single.into_outcome();
+            let sharded_outcome = one.into_outcome();
+            assert_eq!(sharded_outcome.per_shard.len(), 1, "{name}");
+            assert_eq!(sharded_outcome.degraded_shed, 0, "{name}");
+            let b = sharded_outcome.merged;
+            let (ra, rb) = (&a.record, &b.record);
+            assert_eq!(ra.jobs, rb.jobs, "{name}: record.jobs");
+            assert_eq!(
+                (&ra.scheduler, &ra.scenario, ra.cache_hits, ra.cache_misses),
+                (&rb.scheduler, &rb.scenario, rb.cache_hits, rb.cache_misses),
+                "{name}: record counters"
+            );
+            assert_eq!(
+                (ra.gpu_hits, ra.evictions, ra.sched_invocations),
+                (rb.gpu_hits, rb.evictions, rb.sched_invocations),
+                "{name}: record counters"
+            );
+            assert_eq!(
+                (ra.jobs_scheduled, ra.makespan),
+                (rb.jobs_scheduled, rb.makespan),
+                "{name}: record counters"
+            );
+            assert_eq!(a.per_node, b.per_node, "{name}: per_node");
+            assert_eq!(
+                a.mean_latency_secs.to_bits(),
+                b.mean_latency_secs.to_bits(),
+                "{name}: mean latency"
+            );
+            assert_eq!(a.overload, b.overload, "{name}: overload");
+            assert_eq!(a.incomplete_jobs, b.incomplete_jobs, "{name}: incomplete");
+            assert_eq!(a.jobs_completed, b.jobs_completed, "{name}: completed");
         }
-        assert_eq!(sub_a.dispatched, sub_b.dispatched);
     }
 
     /// Satellite regression: a batch job work-stolen onto a shard whose
@@ -1437,7 +1417,7 @@ mod tests {
         assert!(!victims.is_empty(), "shard 0 owns some dataset");
         let t0 = SimTime::from_millis(1);
         for (i, &d) in victims.iter().enumerate() {
-            let (_, admission) = rt.on_job_arrival(&mut sub, t0, interactive(i as u64, d, t0));
+            let admission = rt.on_job_arrival(&mut sub, t0, interactive(i as u64, d, t0));
             assert!(admission.is_admitted());
         }
         let before = sub.dispatched.len();
@@ -1530,9 +1510,9 @@ mod tests {
         rt.on_node_fault(&mut sub, SimTime::from_millis(3), NodeId(0));
         // Batch is shed; interactive is admitted.
         let t = SimTime::from_millis(4);
-        let (_, shed) = rt.on_job_arrival(&mut sub, t, batch(0, 1, t));
+        let shed = rt.on_job_arrival(&mut sub, t, batch(0, 1, t));
         assert_eq!(shed, Admission::Rejected(RejectReason::Degraded));
-        let (_, ok) = rt.on_job_arrival(&mut sub, t, interactive(1, 1, t));
+        let ok = rt.on_job_arrival(&mut sub, t, interactive(1, 1, t));
         assert!(ok.is_admitted());
         // Pressure 4 decays by one per cycle; exit at <= 1.
         rt.on_cycle(&mut sub, SimTime::from_millis(30));
@@ -1542,7 +1522,7 @@ mod tests {
         rt.on_cycle(&mut sub, SimTime::from_millis(90));
         assert!(!rt.is_degraded(), "pressure 1 exits degraded mode");
         let t2 = SimTime::from_millis(91);
-        let (_, readmitted) = rt.on_job_arrival(&mut sub, t2, batch(2, 1, t2));
+        let readmitted = rt.on_job_arrival(&mut sub, t2, batch(2, 1, t2));
         assert!(readmitted.is_admitted(), "batch admission resumed");
         let events = probe.take();
         assert!(events

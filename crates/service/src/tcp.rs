@@ -1144,33 +1144,6 @@ impl RemoteClient {
         }
     }
 
-    /// Render one interactive frame, resubmitting with exponential backoff
-    /// each time the service answers `Overloaded`; blocks until a terminal
-    /// response.
-    #[deprecated(
-        since = "0.1.0",
-        note = "configure retries via `ClientOptions` and use `render_interactive_blocking`"
-    )]
-    pub fn render_interactive_with_retry(
-        &self,
-        action: ActionId,
-        dataset: DatasetId,
-        frame: FrameParams,
-        max_retries: u32,
-    ) -> io::Result<WireResponse> {
-        let options = self.options.clone().retries(max_retries);
-        self.render_blocking_with(
-            self.user,
-            JobKind::Interactive {
-                user: self.user,
-                action,
-            },
-            dataset,
-            frame,
-            &options,
-        )
-    }
-
     /// Submit one batch frame.
     pub fn render_batch_frame(
         &self,

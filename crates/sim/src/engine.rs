@@ -28,14 +28,14 @@ use crate::options::{RunOptions, SchedulerChoice};
 use vizsched_core::cluster::ClusterSpec;
 use vizsched_core::cost::CostParams;
 use vizsched_core::data::{Catalog, DatasetDesc};
-use vizsched_core::ids::{ChunkId, JobId, NodeId};
+use vizsched_core::ids::{ChunkId, NodeId};
 use vizsched_core::job::Job;
 use vizsched_core::memory::EvictionPolicy;
 use vizsched_core::sched::{Assignment, Trigger};
 use vizsched_core::time::{SimDuration, SimTime};
 use vizsched_metrics::{Probe, RunRecord, TraceEvent};
 use vizsched_runtime::{
-    Admission, Completion, FaultKind, FaultPlan, Head, HeadRuntime, OverloadStats, ShardOutcome,
+    Admission, Completion, FaultKind, FaultPlan, HeadRuntime, OverloadStats, ShardOutcome,
     ShardedRuntime, Substrate,
 };
 
@@ -70,8 +70,6 @@ pub struct SimConfig {
     /// Executed alongside (and identically to) the live service's plan
     /// execution, so a chaos run replays bit-identically in the sim.
     pub fault_plan: Option<FaultPlan>,
-    /// Record a per-task trace (memory-hungry; tests only).
-    pub record_trace: bool,
     /// Amplitude of the deterministic per-task execution-time perturbation
     /// (0.0 = exact cost model; the scenario experiments use 0.05 to model
     /// real render/disk variance).
@@ -110,7 +108,6 @@ impl SimConfig {
             eviction: EvictionPolicy::Lru,
             faults: Vec::new(),
             fault_plan: None,
-            record_trace: false,
             exec_jitter: 0.0,
             warm_start: false,
             gpu_quota: None,
@@ -118,23 +115,6 @@ impl SimConfig {
             jitter_seed: 0,
         }
     }
-}
-
-/// One executed task, as recorded when `record_trace` is on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TaskTrace {
-    /// Owning job.
-    pub job: JobId,
-    /// Task index within the job.
-    pub index: u32,
-    /// Node that executed it.
-    pub node: NodeId,
-    /// Start time.
-    pub start: SimTime,
-    /// Finish time.
-    pub finish: SimTime,
-    /// True if the chunk was fetched from disk.
-    pub miss: bool,
 }
 
 /// Per-node execution counters for one run.
@@ -159,8 +139,6 @@ pub struct NodeStats {
 pub struct SimOutcome {
     /// The aggregate record consumed by `vizsched-metrics`.
     pub record: RunRecord,
-    /// Per-task trace (empty unless `record_trace`).
-    pub trace: Vec<TaskTrace>,
     /// Per-node execution counters (load-balance view).
     pub node_stats: Vec<NodeStats>,
     /// Jobs that never completed (should be zero unless nodes stayed down).
@@ -168,8 +146,9 @@ pub struct SimOutcome {
     /// Admission-control counters (all zero unless the run sets an
     /// [`OverloadPolicy`](vizsched_runtime::OverloadPolicy)).
     pub overload: OverloadStats,
-    /// Per-shard routing and completion counters (empty unless the run
-    /// set [`RunOptions::shards`](crate::RunOptions::shards) above 1).
+    /// Per-shard routing and completion counters, one entry per shard
+    /// (an unsharded run is one shard; see
+    /// [`RunOptions::shards`](crate::RunOptions::shards)).
     pub per_shard: Vec<ShardOutcome>,
 }
 
@@ -217,9 +196,6 @@ impl Simulation {
         if let Some(warm) = opts.warm_start {
             config.warm_start = warm;
         }
-        if let Some(trace) = opts.record_trace {
-            config.record_trace = trace;
-        }
         if let Some(seed) = opts.seed {
             config.jitter_seed = seed;
             if let EvictionPolicy::Random { seed: base } = config.eviction {
@@ -266,7 +242,6 @@ struct SimSubstrate<'a> {
     events: EventQueue,
     now: SimTime,
     tick_armed: bool,
-    trace: Vec<TaskTrace>,
     /// Disk loads currently in flight (shared-FS contention input).
     loads_in_flight: u32,
 }
@@ -342,7 +317,7 @@ impl SimSubstrate<'_> {
 }
 
 struct Engine<'a> {
-    runtime: Head,
+    runtime: ShardedRuntime,
     sub: SimSubstrate<'a>,
     /// The run's probe, kept for engine-level events (`fault_injected`)
     /// that no single shard's runtime owns.
@@ -365,48 +340,40 @@ impl<'a> Engine<'a> {
             }
             None => vizsched_core::tables::HeadTables::with_eviction(cluster, config.eviction),
         };
-        let runtime = if shards <= 1 {
-            let scheduler = match scheduler {
-                SchedulerChoice::Kind(kind) => kind.build(config.cycle),
-                SchedulerChoice::Instance(instance) => instance,
-            };
-            Head::Single(HeadRuntime::new(
-                scheduler,
-                tables_for(&config.cluster),
-                catalog,
-                config.cost,
-                probe,
-                scenario,
-            ))
-        } else {
-            // Schedulers are stateful, so a sharded run builds one fresh
-            // instance per shard — which needs a buildable kind, not a
-            // single pre-built instance.
-            let kind = match scheduler {
-                SchedulerChoice::Kind(kind) => kind,
-                SchedulerChoice::Instance(s) => panic!(
+        // Schedulers are stateful, so every shard builds a fresh instance
+        // from a kind; a pre-built instance serves an unsharded run's one
+        // shard.
+        let (kind, mut instance) = match scheduler {
+            SchedulerChoice::Kind(kind) => (Some(kind), None),
+            SchedulerChoice::Instance(s) => {
+                assert!(
+                    shards == 1,
                     "sharded runs build one scheduler per shard; pass SchedulerKind, \
                      not a pre-built {} instance",
                     s.name()
-                ),
-            };
-            Head::Sharded(ShardedRuntime::new(
-                &config.cluster,
-                shards,
-                probe,
-                None,
-                |_, slice, shard_probe| {
-                    HeadRuntime::new(
-                        kind.build(config.cycle),
-                        tables_for(slice),
-                        catalog.clone(),
-                        config.cost,
-                        shard_probe,
-                        scenario,
-                    )
-                },
-            ))
+                );
+                (None, Some(s))
+            }
         };
+        let runtime = ShardedRuntime::new(
+            &config.cluster,
+            shards,
+            probe,
+            None,
+            |_, slice, shard_probe| {
+                let scheduler = instance
+                    .take()
+                    .unwrap_or_else(|| kind.expect("one instance per shard").build(config.cycle));
+                HeadRuntime::new(
+                    scheduler,
+                    tables_for(slice),
+                    catalog.clone(),
+                    config.cost,
+                    shard_probe,
+                    scenario,
+                )
+            },
+        );
         let nodes = config
             .cluster
             .nodes
@@ -432,7 +399,6 @@ impl<'a> Engine<'a> {
                 events: EventQueue::new(),
                 now: SimTime::ZERO,
                 tick_armed: false,
-                trace: Vec::new(),
                 loads_in_flight: 0,
             },
             probe: engine_probe,
@@ -542,16 +508,6 @@ impl<'a> Engine<'a> {
             self.sub.loads_in_flight = self.sub.loads_in_flight.saturating_sub(1);
         }
         let task = done.assignment.task;
-        if self.sub.config.record_trace {
-            self.sub.trace.push(TaskTrace {
-                job: task.job,
-                index: task.index,
-                node,
-                start: done.started,
-                finish: done.finish,
-                miss: done.miss,
-            });
-        }
         let completion = Completion {
             node,
             job: task.job,
@@ -628,8 +584,9 @@ impl<'a> Engine<'a> {
                 // Power-cycle the dead head's current slice first: its
                 // in-flight dispatches become stale (generation bump) and
                 // the nodes rejoin cold, so nothing the dead head started
-                // can race the rebuilt control state on the adopters.
-                for node in self.runtime.shard_nodes(shard) {
+                // can race the rebuilt control state on the adopters. A
+                // refused failover names no nodes and touches nothing.
+                for node in self.runtime.failover_nodes(shard) {
                     let _ = self.sub.nodes[node.index()].crash();
                     self.sub.nodes[node.index()].recover();
                 }
@@ -676,7 +633,6 @@ impl<'a> Engine<'a> {
         record.evictions = evictions;
         SimOutcome {
             record,
-            trace: self.sub.trace,
             node_stats,
             incomplete_jobs: outcome.incomplete_jobs,
             overload: outcome.overload,

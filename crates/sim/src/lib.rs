@@ -41,13 +41,11 @@ pub mod engine;
 pub mod event;
 pub mod node;
 pub mod options;
-pub mod trace;
 
-pub use engine::{Fault, NodeStats, SimConfig, SimOutcome, Simulation, TaskTrace};
+pub use engine::{Fault, NodeStats, SimConfig, SimOutcome, Simulation};
 pub use event::{Event, EventKind, EventQueue};
 pub use node::{RunningTask, SimNode};
 pub use options::{RunOptions, SchedulerChoice};
-pub use trace::{ascii_gantt, node_utilization, trace_to_csv, NodeUtilization};
 pub use vizsched_runtime::{
     FaultEvent, FaultKind, FaultPlan, OverloadPolicy, OverloadStats, ShardOutcome,
 };

@@ -66,7 +66,6 @@ pub struct RunOptions {
     pub(crate) fault_plan: Option<FaultPlan>,
     pub(crate) exec_jitter: Option<f64>,
     pub(crate) warm_start: Option<bool>,
-    pub(crate) record_trace: Option<bool>,
     pub(crate) seed: Option<u64>,
     pub(crate) initial_estimates: Vec<(ChunkId, SimDuration)>,
     pub(crate) catalog: Option<Catalog>,
@@ -87,7 +86,6 @@ impl std::fmt::Debug for RunOptions {
             .field("fault_plan", &self.fault_plan)
             .field("exec_jitter", &self.exec_jitter)
             .field("warm_start", &self.warm_start)
-            .field("record_trace", &self.record_trace)
             .field("seed", &self.seed)
             .field("initial_estimates", &self.initial_estimates.len())
             .field("catalog_override", &self.catalog.is_some())
@@ -121,7 +119,6 @@ impl RunOptions {
             fault_plan: None,
             exec_jitter: None,
             warm_start: None,
-            record_trace: None,
             seed: None,
             initial_estimates: Vec::new(),
             catalog: None,
@@ -190,12 +187,6 @@ impl RunOptions {
         self
     }
 
-    /// Override whether a per-task `TaskTrace` is recorded.
-    pub fn record_trace(mut self, on: bool) -> Self {
-        self.record_trace = Some(on);
-        self
-    }
-
     /// Perturbation seed: folded into the deterministic per-task jitter
     /// hash (and, under `EvictionPolicy::Random`, into the eviction
     /// stream), so the same workload can be replayed under independent
@@ -233,8 +224,8 @@ impl RunOptions {
     /// Split the cluster into `n` shards behind the consistent-hash
     /// routing tier: each shard runs its own head-node cycle loop over a
     /// leaf-aligned slice of the nodes, and jobs route by dataset.
-    /// `n <= 1` (the default) runs the paper's single head node,
-    /// bit-identical to an unsharded build. Sharded runs build one
+    /// `n <= 1` (the default) runs one shard: the paper's single head
+    /// node, with the routing tier a pass-through. Sharded runs build one
     /// scheduler per shard, so they require a named policy
     /// ([`RunOptions::new`]), not a pre-built instance.
     pub fn shards(mut self, n: usize) -> Self {
@@ -291,7 +282,6 @@ mod tests {
             .eviction(EvictionPolicy::Lru)
             .exec_jitter(0.1)
             .warm_start(true)
-            .record_trace(true)
             .seed(7)
             .cost(CostParams::default())
             .faults(vec![Fault::crash_at(SimTime::from_secs(1), NodeId(0))])

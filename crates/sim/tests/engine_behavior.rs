@@ -2,7 +2,9 @@
 //! cost model, table correction, determinism, deferral draining, and fault
 //! tolerance.
 
+use std::sync::Arc;
 use vizsched_core::prelude::*;
+use vizsched_metrics::{CollectingProbe, TraceEvent};
 use vizsched_sim::{Fault, RunOptions, SimConfig, Simulation};
 
 const GIB: u64 = 1 << 30;
@@ -193,17 +195,27 @@ fn crash_mid_run_still_completes_jobs() {
 #[test]
 fn trace_records_every_task() {
     let cluster = ClusterSpec::homogeneous(2, 2 * GIB);
-    let mut config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
-    config.record_trace = true;
+    let config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
     let sim = Simulation::new(config, uniform_datasets(1, 2 * GIB));
-    let outcome = sim.run_opts(
+    let probe = Arc::new(CollectingProbe::new());
+    sim.run_opts(
         vec![interactive(0, 0, 0, SimTime::ZERO)],
-        RunOptions::new(SchedulerKind::Fcfs).label("t"),
+        RunOptions::new(SchedulerKind::Fcfs)
+            .label("t")
+            .probe(probe.clone()),
     );
-    assert_eq!(outcome.trace.len(), 4);
-    for t in &outcome.trace {
-        assert!(t.finish > t.start);
-        assert!(t.miss, "first touch of every chunk is a miss");
+    let tasks: Vec<(SimDuration, bool)> = probe
+        .take()
+        .into_iter()
+        .filter_map(|e| match e {
+            TraceEvent::TaskDone { exec, miss, .. } => Some((exec, miss)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(tasks.len(), 4);
+    for (exec, miss) in tasks {
+        assert!(exec > SimDuration::ZERO);
+        assert!(miss, "first touch of every chunk is a miss");
     }
 }
 

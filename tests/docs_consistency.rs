@@ -3,7 +3,8 @@
 //! sync with `SchedulerKind`, docs/SCENARIO_FORMAT.md must cover every
 //! record line kind, docs/OPERATORS_GUIDE.md must name every traffic
 //! shape, and the top-level markdown documents (including the guides in
-//! docs/) must not carry dead intra-repo links. Run by the CI docs job.
+//! docs/) must not carry dead intra-repo links or code spans naming files
+//! that do not exist. Run by the CI docs job.
 
 use std::path::{Path, PathBuf};
 use vizsched_metrics::TraceEvent;
@@ -237,6 +238,92 @@ fn top_level_docs_have_no_dead_intra_repo_links() {
         }
     }
     assert!(dead.is_empty(), "dead intra-repo links: {dead:?}");
+}
+
+/// Every file in the repository, as a `/`-separated path relative to the
+/// root (build output and hidden directories skipped).
+fn repo_files() -> Vec<String> {
+    fn walk(dir: &Path, prefix: &str, out: &mut Vec<String>) {
+        let entries =
+            std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display()));
+        for entry in entries {
+            let entry = entry.expect("directory entry");
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if name.starts_with('.') || name == "target" {
+                continue;
+            }
+            let path = format!("{prefix}{name}");
+            if entry.file_type().expect("file type").is_dir() {
+                walk(&entry.path(), &format!("{path}/"), out);
+            } else {
+                out.push(path);
+            }
+        }
+    }
+    let mut files = Vec::new();
+    walk(&repo_root(), "", &mut files);
+    files
+}
+
+/// Inline code spans (`` `like this` ``) in `body`, outside code fences.
+fn code_spans(body: &str) -> Vec<&str> {
+    let mut spans = Vec::new();
+    let mut in_fence = false;
+    for line in body.lines() {
+        if line.trim_start().starts_with("```") {
+            in_fence = !in_fence;
+            continue;
+        }
+        if !in_fence {
+            spans.extend(line.split('`').skip(1).step_by(2));
+        }
+    }
+    spans
+}
+
+/// A code span naming a file (`sched/fsd.rs`, `BENCH_policy.json`) must
+/// name one that exists: it has to be a path suffix of some file in the
+/// repository. Patterns and placeholders (`results/fig10-*.ppm`,
+/// `<name>.json`) and commands (anything with a space) are skipped.
+#[test]
+fn docs_code_spans_name_existing_files() {
+    const EXTENSIONS: [&str; 13] = [
+        "rs", "md", "json", "jsonl", "toml", "txt", "ppm", "png", "csv", "lock", "yml", "yaml",
+        "sh",
+    ];
+    let files = repo_files();
+    let mut docs = vec![
+        "README.md".to_string(),
+        "DESIGN.md".to_string(),
+        "EXPERIMENTS.md".to_string(),
+    ];
+    docs.extend(
+        files
+            .iter()
+            .filter(|f| f.starts_with("docs/") && f.ends_with(".md"))
+            .cloned(),
+    );
+    let mut missing = Vec::new();
+    for doc in &docs {
+        for span in code_spans(&read(doc)) {
+            if span.contains([' ', '*', '<']) {
+                continue;
+            }
+            let names_a_file = span
+                .rsplit_once('.')
+                .is_some_and(|(_, ext)| EXTENSIONS.contains(&ext));
+            let exists = files
+                .iter()
+                .any(|f| f == span || f.ends_with(&format!("/{span}")));
+            if names_a_file && !exists {
+                missing.push(format!("{doc}: `{span}`"));
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "code spans name missing files: {missing:?}"
+    );
 }
 
 /// docs/SCENARIO_FORMAT.md is documented as complete: every record line

@@ -72,8 +72,7 @@ fn chaos_case() -> impl Strategy<Value = ChaosCase> {
 
 fn build(case: &ChaosCase) -> (Simulation, Vec<Job>) {
     let cluster = ClusterSpec::homogeneous(case.nodes, 2 * GIB);
-    let mut config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
-    config.record_trace = true;
+    let config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
     let sim = Simulation::new(config, uniform_datasets(case.datasets, 2 * GIB));
     let jobs: Vec<Job> = case
         .jobs
@@ -187,4 +186,39 @@ proptest! {
             plan.len()
         );
     }
+}
+
+/// A shard crash the runtime refuses (the shard is already dead, or it is
+/// the last live shard) must leave every node alone: power-cycling the
+/// survivor's slice anyway would drop its queued and running work
+/// without the runtime ever hearing of it.
+#[test]
+fn refused_shard_crash_loses_no_admitted_job() {
+    let cluster = ClusterSpec::homogeneous(4, 2 * GIB);
+    let config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
+    let sim = Simulation::new(config, uniform_datasets(4, 2 * GIB));
+    let jobs: Vec<Job> = (0..40u64)
+        .map(|i| Job {
+            id: JobId(i),
+            kind: JobKind::Batch {
+                user: UserId(9),
+                request: BatchId(i),
+                frame: 0,
+            },
+            dataset: DatasetId((i % 4) as u32),
+            issue_time: SimTime::from_millis(10 * i),
+            frame: FrameParams::default(),
+        })
+        .collect();
+    let plan = FaultPlan::new()
+        .shard_crash_at(SimTime::from_millis(100), ShardId(0))
+        .shard_crash_at(SimTime::from_millis(200), ShardId(1));
+    let outcome = sim.run_opts(
+        jobs,
+        RunOptions::new(SchedulerKind::Fcfsl)
+            .label("refused-shard-crash")
+            .shards(2)
+            .fault_plan(plan),
+    );
+    assert_eq!(outcome.incomplete_jobs, 0, "a refused crash dropped work");
 }

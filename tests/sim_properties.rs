@@ -3,7 +3,9 @@
 //! shapes, and fault injections.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use vizsched_core::prelude::*;
+use vizsched_metrics::{CollectingProbe, TraceEvent};
 use vizsched_sim::{Fault, RunOptions, SimConfig, Simulation};
 
 const GIB: u64 = 1 << 30;
@@ -44,12 +46,29 @@ fn workload_case() -> impl Strategy<Value = WorkloadCase> {
         })
 }
 
+/// Every executed task as `(node, start, finish)`, from the probe's
+/// `task_done` events.
+fn executed_tasks(probe: &CollectingProbe) -> Vec<(NodeId, SimTime, SimTime)> {
+    probe
+        .take()
+        .into_iter()
+        .filter_map(|e| match e {
+            TraceEvent::TaskDone {
+                node,
+                started,
+                exec,
+                ..
+            } => Some((node, started, started + exec)),
+            _ => None,
+        })
+        .collect()
+}
+
 fn build(case: &WorkloadCase) -> (Simulation, Vec<Job>) {
     let cluster = ClusterSpec::homogeneous(case.nodes, 2 * GIB);
     let mut config = SimConfig::new(cluster, CostParams::default(), 512 * MIB);
     config.warm_start = case.warm;
     config.exec_jitter = if case.jitter { 0.05 } else { 0.0 };
-    config.record_trace = true;
     let sim = Simulation::new(config, uniform_datasets(case.datasets, 2 * GIB));
     let jobs: Vec<Job> = case
         .jobs
@@ -87,12 +106,13 @@ proptest! {
         let kind = SchedulerKind::ALL[case.kind_pick];
         let (sim, jobs) = build(&case);
         let total_jobs = jobs.len();
-        let outcome = sim.run_opts(jobs, RunOptions::new(kind).label("prop"));
+        let probe = Arc::new(CollectingProbe::new());
+        let outcome = sim.run_opts(jobs, RunOptions::new(kind).label("prop").probe(probe.clone()));
         prop_assert_eq!(outcome.incomplete_jobs, 0, "{}", kind.name());
         prop_assert_eq!(outcome.record.jobs.len(), total_jobs);
         let decomposed: u64 = outcome.record.jobs.iter().map(|j| u64::from(j.tasks)).sum();
         prop_assert_eq!(outcome.record.cache_hits + outcome.record.cache_misses, decomposed);
-        prop_assert_eq!(outcome.trace.len() as u64, decomposed);
+        prop_assert_eq!(executed_tasks(&probe).len() as u64, decomposed);
     }
 
     /// Ordering: JS ≥ JI, JF ≥ JS, latency ≥ execution, makespan = max JF.
@@ -119,11 +139,12 @@ proptest! {
     fn nodes_never_overlap(case in workload_case()) {
         let kind = SchedulerKind::ALL[case.kind_pick];
         let (sim, jobs) = build(&case);
-        let outcome = sim.run_opts(jobs, RunOptions::new(kind).label("prop"));
+        let probe = Arc::new(CollectingProbe::new());
+        sim.run_opts(jobs, RunOptions::new(kind).label("prop").probe(probe.clone()));
         let mut per_node: std::collections::HashMap<u32, Vec<(SimTime, SimTime)>> =
             std::collections::HashMap::new();
-        for t in &outcome.trace {
-            per_node.entry(t.node.0).or_default().push((t.start, t.finish));
+        for (node, start, finish) in executed_tasks(&probe) {
+            per_node.entry(node.0).or_default().push((start, finish));
         }
         for (node, mut spans) in per_node {
             spans.sort();

@@ -8,7 +8,7 @@
 //! - **node-faults** — a single-head cluster absorbs node crashes with
 //!   respawn, a degraded (slow) node, and a correlated two-node leaf
 //!   outage, under a mixed interactive/batch stream, once per registry
-//!   policy (all nine). The invariant is *zero admitted-job loss*: every
+//!   policy (all eight). The invariant is *zero admitted-job loss*: every
 //!   admitted job completes (`incomplete == 0`) and nothing is shed
 //!   (`frames_lost == 0`). A violation fails the run immediately — no
 //!   `--check` needed.
@@ -325,7 +325,7 @@ fn main() {
     let check_path = arg_value("--check");
     let quick = args.iter().any(|a| a == "--quick");
 
-    eprintln!("chaos: node-faults across all nine policies, shard-loss under OURS");
+    eprintln!("chaos: node-faults across all eight policies, shard-loss under OURS");
     let node_faults = run_node_faults(quick);
     let shard_loss = run_shard_loss(quick);
     print_table(&node_faults, &shard_loss);

@@ -2,9 +2,8 @@
 //! machine-readable baseline for CI regression gating.
 //!
 //! Sweeps a {16, 128, 1024} connections × {1, 10, 30} fps grid against the
-//! event-driven plane ([`TcpServer::start_with`]) plus one cell against the
-//! retained thread-per-connection baseline ([`TcpServer::start_threaded`]),
-//! and reports p50/p99 frame latency and sustained throughput per cell.
+//! event-driven plane ([`TcpServer::start_with`]) and reports p50/p99
+//! frame latency and sustained throughput per cell.
 //! The head behind the socket is a synthetic responder that answers every
 //! request with a prebuilt 16×16 frame, so the numbers isolate the service
 //! plane itself — framing, socket I/O, buffer pooling, reply routing — not
@@ -28,11 +27,7 @@
 //! run **fails** (exit 1) if its fresh p99 regresses more than 25 % over
 //! the committed baseline, or if the plane no longer sustains the full
 //! 1024-connection grid point (a dead connection, or under 99 % of
-//! connections served). The gate is absolute microseconds rather than a
-//! ratio against the threaded plane: thread-per-connection tail latency is
-//! a lottery of kernel scheduling (its p99 swings 100× run to run on a
-//! loaded core), so it is recorded for the record but useless as a
-//! denominator.
+//! connections served).
 
 use std::io::{self, Write};
 use std::net::TcpStream;
@@ -53,8 +48,8 @@ use vizsched_service::{
 
 const CONNS: [usize; 3] = [16, 128, 1024];
 const FPS: [u32; 3] = [1, 10, 30];
-/// The cell the thread-per-connection baseline is recorded at, and where
-/// the two planes are compared head-to-head: {128 conns, 10 fps}.
+/// The mid-grid cell the quick run keeps beside the largest point,
+/// recorded as `evented_p99_baseline_us`: {128 conns, 10 fps}.
 const BASELINE_CELL: (usize, u32) = (128, 10);
 /// Synthetic responder threads draining the admission channel.
 const RESPONDERS: usize = 2;
@@ -67,23 +62,7 @@ const TOLERANCE: f64 = 1.25;
 /// this fraction of connections completed a frame.
 const SUSTAIN_FRACTION: f64 = 0.99;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Plane {
-    Evented,
-    Threaded,
-}
-
-impl Plane {
-    fn as_str(self) -> &'static str {
-        match self {
-            Plane::Evented => "evented",
-            Plane::Threaded => "threaded",
-        }
-    }
-}
-
 struct Cell {
-    plane: Plane,
     conns: usize,
     fps: u32,
     samples: usize,
@@ -153,12 +132,9 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
-fn run_cell(plane: Plane, conns: usize, fps: u32, warmup: Duration, measure: Duration) -> Cell {
+fn run_cell(conns: usize, fps: u32, warmup: Duration, measure: Duration) -> Cell {
     let (tx, rx) = crossbeam::channel::unbounded::<RenderRequest>();
-    let server = match plane {
-        Plane::Evented => TcpServer::start_with("127.0.0.1:0", tx, conns).expect("bind"),
-        Plane::Threaded => TcpServer::start_threaded("127.0.0.1:0", tx, conns).expect("bind"),
-    };
+    let server = TcpServer::start_with("127.0.0.1:0", tx, conns).expect("bind");
     let responders = spawn_responders(rx);
     let addr = server.addr();
 
@@ -296,7 +272,6 @@ fn run_cell(plane: Plane, conns: usize, fps: u32, warmup: Duration, measure: Dur
 
     latencies_us.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite latency"));
     Cell {
-        plane,
         conns,
         fps,
         samples: latencies_us.len(),
@@ -327,28 +302,21 @@ fn write_all(stream: &TcpStream, mut buf: &[u8]) -> io::Result<()> {
 }
 
 fn run_grid(quick: bool, warmup: Duration, measure: Duration) -> Vec<Cell> {
-    let grid: Vec<(Plane, usize, u32)> = if quick {
-        vec![
-            (Plane::Evented, BASELINE_CELL.0, BASELINE_CELL.1),
-            (Plane::Evented, 1024, 30),
-            (Plane::Threaded, BASELINE_CELL.0, BASELINE_CELL.1),
-        ]
+    let grid: Vec<(usize, u32)> = if quick {
+        vec![BASELINE_CELL, (1024, 30)]
     } else {
-        let mut grid: Vec<_> = CONNS
+        CONNS
             .iter()
-            .flat_map(|&c| FPS.iter().map(move |&f| (Plane::Evented, c, f)))
-            .collect();
-        grid.push((Plane::Threaded, BASELINE_CELL.0, BASELINE_CELL.1));
-        grid
+            .flat_map(|&c| FPS.iter().map(move |&f| (c, f)))
+            .collect()
     };
 
     grid.into_iter()
-        .map(|(plane, conns, fps)| {
-            let cell = run_cell(plane, conns, fps, warmup, measure);
+        .map(|(conns, fps)| {
+            let cell = run_cell(conns, fps, warmup, measure);
             eprintln!(
-                "  {:>8} conns={conns:>4} fps={fps:>2}: p50 {:>9.1} us  p99 {:>9.1} us  \
+                "  conns={conns:>4} fps={fps:>2}: p50 {:>9.1} us  p99 {:>9.1} us  \
                  {:>8.1}/{:<8.1} rps  served {}/{}",
-                plane.as_str(),
                 cell.p50_us,
                 cell.p99_us,
                 cell.throughput_rps,
@@ -361,26 +329,24 @@ fn run_grid(quick: bool, warmup: Duration, measure: Duration) -> Vec<Cell> {
         .collect()
 }
 
-fn find(cells: &[Cell], plane: Plane, conns: usize, fps: u32) -> &Cell {
+fn find(cells: &[Cell], conns: usize, fps: u32) -> &Cell {
     cells
         .iter()
-        .find(|c| c.plane == plane && c.conns == conns && c.fps == fps)
-        .unwrap_or_else(|| panic!("missing cell {} {conns}x{fps}", plane.as_str()))
+        .find(|c| c.conns == conns && c.fps == fps)
+        .unwrap_or_else(|| panic!("missing cell {conns}x{fps}"))
 }
 
-/// The largest evented grid point present (max conns, then max fps).
+/// The largest grid point present (max conns, then max fps).
 fn largest(cells: &[Cell]) -> &Cell {
     cells
         .iter()
-        .filter(|c| c.plane == Plane::Evented)
         .max_by_key(|c| (c.conns, c.fps))
-        .expect("at least one evented cell")
+        .expect("at least one cell")
 }
 
 fn to_json(cells: &[Cell], warmup: Duration, measure: Duration) -> Json {
     let big = largest(cells);
-    let threaded = find(cells, Plane::Threaded, BASELINE_CELL.0, BASELINE_CELL.1);
-    let evented = find(cells, Plane::Evented, BASELINE_CELL.0, BASELINE_CELL.1);
+    let baseline = find(cells, BASELINE_CELL.0, BASELINE_CELL.1);
     obj([
         (
             "schema",
@@ -403,7 +369,6 @@ fn to_json(cells: &[Cell], warmup: Duration, measure: Duration) -> Json {
                     .iter()
                     .map(|c| {
                         obj([
-                            ("plane", Json::Str(c.plane.as_str().into())),
                             ("conns", Json::Num(c.conns as f64)),
                             ("fps", Json::Num(c.fps as f64)),
                             ("samples", Json::Num(c.samples as f64)),
@@ -426,16 +391,7 @@ fn to_json(cells: &[Cell], warmup: Duration, measure: Duration) -> Json {
                 ("largest_fps", Json::Num(big.fps as f64)),
                 ("p99_largest_us", Json::Num(big.p99_us)),
                 ("sustained_largest", Json::Bool(big.sustained())),
-                ("evented_p99_baseline_us", Json::Num(evented.p99_us)),
-                ("threaded_p99_baseline_us", Json::Num(threaded.p99_us)),
-                (
-                    "evented_vs_threaded_p99",
-                    Json::Num(evented.p99_us / threaded.p99_us),
-                ),
-                (
-                    "normalized_p99_largest",
-                    Json::Num(big.p99_us / threaded.p99_us),
-                ),
+                ("evented_p99_baseline_us", Json::Num(baseline.p99_us)),
             ]),
         ),
     ])
@@ -444,13 +400,12 @@ fn to_json(cells: &[Cell], warmup: Duration, measure: Duration) -> Json {
 fn print_table(cells: &[Cell]) {
     println!("== service_scaling: live plane latency under a paced closed loop ==\n");
     println!(
-        "{:>8} {:>6} {:>4} {:>8} {:>11} {:>11} {:>10} {:>10} {:>9}",
-        "plane", "conns", "fps", "samples", "p50 us", "p99 us", "rps", "offered", "sustained"
+        "{:>6} {:>4} {:>8} {:>11} {:>11} {:>10} {:>10} {:>9}",
+        "conns", "fps", "samples", "p50 us", "p99 us", "rps", "offered", "sustained"
     );
     for c in cells {
         println!(
-            "{:>8} {:>6} {:>4} {:>8} {:>11.1} {:>11.1} {:>10.1} {:>10.1} {:>9}",
-            c.plane.as_str(),
+            "{:>6} {:>4} {:>8} {:>11.1} {:>11.1} {:>10.1} {:>10.1} {:>9}",
             c.conns,
             c.fps,
             c.samples,

@@ -29,8 +29,8 @@
 //! `φ_max` (batch trickles). The share also stands in for ε on cold batch
 //! placements: a load-incurring placement on node `k` needs an
 //! interactive idle age covering `φ_k`/1000 of the load estimate
-//! ([`cold_batch_protected`](super::cold_batch_protected)), so the same
-//! learned signal drives both the window and the eviction shield. Every
+//! (`cold_batch_protected`), so the same learned signal drives both the
+//! window and the eviction shield. Every
 //! change is reported as a
 //! [`PolicyEvent::ShareAdjusted`] and surfaces on the probe stream as a
 //! `share_adjusted` trace event. All share arithmetic is integer

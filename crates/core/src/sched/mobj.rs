@@ -1,4 +1,4 @@
-//! MOBJ / MOBJ-A — weighted multi-objective placement scoring (after
+//! MOBJ — weighted multi-objective placement scoring (after
 //! Mamirov, "Multi-Objective GPU Cluster Scheduling", arXiv:2512.10980).
 //!
 //! Where OURS picks nodes by a single scalar (predicted completion,
@@ -26,13 +26,13 @@
 //!   starvation gap in the overload sweep.
 //!
 //! Batch candidates additionally pass the cold-placement protection gate
-//! ([`cold_batch_protected`](super::cold_batch_protected), fraction
-//! [`MobjParams::protect_pm`]): a load-incurring batch placement needs an
-//! interactive idle age covering `protect_pm`/1000 of the load estimate,
-//! exactly OURS's ε-idle rule in integer form. The scorer alone cannot
-//! provide this safety — a modest `w_loc` penalty still loses to a large
-//! queue-wait difference, and one cold placement on a busy node evicts
-//! that node's interactive working set and starts a churn cascade.
+//! (`cold_batch_protected`, fraction [`MobjParams::protect_pm`]): a
+//! load-incurring batch placement needs an interactive idle age covering
+//! `protect_pm`/1000 of the load estimate, exactly OURS's ε-idle rule in
+//! integer form. The scorer alone cannot provide this safety — a modest
+//! `w_loc` penalty still loses to a large queue-wait difference, and one
+//! cold placement on a busy node evicts that node's interactive working
+//! set and starts a churn cascade.
 //!
 //! All weights are integer per-mille and every term is integer
 //! microseconds accumulated in `i128` — zero floats in the decision path,
@@ -40,29 +40,18 @@
 //! bit-identical by the placement-equivalence suite. The optimized path
 //! exploits that the balance anchor (`min_k ready_at`) shifts every
 //! candidate's score equally: it anchors at `now` instead and skips the
-//! extra minimum scan (see [`objective_score`]); the reference twin keeps
+//! extra minimum scan (see `objective_score`); the reference twin keeps
 //! the textbook anchor, and the equivalence suite is the proof the shift
 //! really is invariant.
-//!
-//! **MOBJ-A** is the same scorer with the weights retuned online from the
-//! completion stream ([`Scheduler::observe_completion`]): the miss-rate
-//! EMA shifts weight from balance to locality (misses mean the placements
-//! chase queue slack into cold nodes), and the start-time prediction-error
-//! EMA shifts weight from fragmentation to starvation age (noisy
-//! `Available` predictions mean deferred work waits longer than the
-//! tables claim). Every retune emits a
-//! [`PolicyEvent::WeightsUpdated`], surfaced as a `weights_updated`
-//! trace event.
 
-use super::{Assignment, CompletionFeedback, PolicyEvent, ScheduleCtx, Scheduler, Trigger};
+use super::{Assignment, ScheduleCtx, Scheduler, Trigger};
 use crate::ids::{ChunkId, JobId, NodeId};
 use crate::job::{Job, Task};
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// The objective weights, per-mille. They need not sum to 1000 — only
-/// their ratios matter — but the defaults do, and the adaptive retune
-/// preserves the sum.
+/// their ratios matter — but the defaults do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MobjWeights {
     /// Cache-locality weight `w_loc`.
@@ -86,26 +75,20 @@ impl Default for MobjWeights {
     }
 }
 
-/// Tuning knobs for MOBJ / MOBJ-A.
+/// Tuning knobs for MOBJ.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MobjParams {
     /// The scheduling cycle `ω`.
     pub cycle: SimDuration,
-    /// Initial objective weights (the fixed weights when not adaptive;
-    /// the zero-signal anchor when adaptive).
+    /// The objective weights.
     pub weights: MobjWeights,
-    /// Retune the weights online from completion feedback (MOBJ-A).
-    pub adaptive: bool,
-    /// Completions between adaptive retunes.
-    pub retune_every: u32,
     /// Cap on the starvation-age term, so a node idle since boot does not
     /// drown every other objective.
     pub starvation_cap: SimDuration,
     /// Cold-placement protection, per-mille: a batch placement that incurs
     /// a load is only admitted on a node whose interactive idle age covers
-    /// this fraction of the load's estimate (see
-    /// [`cold_batch_protected`](super::cold_batch_protected)). 500 mirrors
-    /// OURS's default `epsilon_frac` of 0.5.
+    /// this fraction of the load's estimate (see `cold_batch_protected`).
+    /// 500 mirrors OURS's default `epsilon_frac` of 0.5.
     pub protect_pm: u32,
 }
 
@@ -114,20 +97,11 @@ impl Default for MobjParams {
         MobjParams {
             cycle: SimDuration::from_millis(30),
             weights: MobjWeights::default(),
-            adaptive: false,
-            retune_every: 32,
             starvation_cap: SimDuration::from_secs(2),
             protect_pm: 500,
         }
     }
 }
-
-/// EMA divisor: each sample carries 1/8 of the state.
-const EMA_OLD: u64 = 7;
-const EMA_DIV: u64 = 8;
-/// Scale of the start-time-error signal in the retune rule: an error EMA
-/// of this size moves half of the maximum fragmentation→starvation shift.
-const RETUNE_ERR_SCALE_US: u64 = 50_000;
 
 /// The age-widened admission window of one deferred batch task: the
 /// starvation objective acting on *feasibility*. A fresh task may only
@@ -135,9 +109,8 @@ const RETUNE_ERR_SCALE_US: u64 = 50_000;
 /// queue `starvation_pm`/1000 of its age past it, so aged work wedges
 /// into a busy-but-eligible node's queue instead of waiting forever for a
 /// perfectly free cycle slot. This is what bounds the longest batch start
-/// delay below OURS's in the overload sweep, and it is why MOBJ-A's
-/// retune shifting weight *into* `starvation_pm` visibly strengthens the
-/// anti-starvation behavior. Shared with the reference twin.
+/// delay below OURS's in the overload sweep. Shared with the reference
+/// twin.
 pub(super) fn batch_gate(
     now: SimTime,
     lambda: SimTime,
@@ -187,65 +160,16 @@ pub(super) fn objective_score(
     score
 }
 
-/// One adaptive EMA step over a completion report. Shared with the
-/// reference twin so the learning rule cannot drift between the two.
-pub(super) fn feedback_step(
-    miss_ema_pm: &mut u32,
-    start_err_ema_us: &mut u64,
-    fb: &CompletionFeedback,
-) {
-    let miss = if fb.miss { 1000u64 } else { 0 };
-    *miss_ema_pm = ((EMA_OLD * *miss_ema_pm as u64 + miss) / EMA_DIV) as u32;
-    let err_us = if fb.started >= fb.predicted_start {
-        fb.started.saturating_since(fb.predicted_start)
-    } else {
-        fb.predicted_start.saturating_since(fb.started)
-    }
-    .as_micros();
-    *start_err_ema_us = (EMA_OLD * *start_err_ema_us + err_us) / EMA_DIV;
-}
-
-/// The deterministic retune rule: shift balance→locality by the miss-rate
-/// EMA and fragmentation→starvation by the start-error EMA, preserving
-/// the weight sum and keeping every donor weight ≥ 50 per-mille.
-pub(super) fn retuned_weights(
-    base: &MobjWeights,
-    miss_ema_pm: u32,
-    start_err_ema_us: u64,
-) -> MobjWeights {
-    let d1 = miss_ema_pm.min(1000) * base.balance_pm.saturating_sub(50) / 1000;
-    let room = base.fragmentation_pm.saturating_sub(50) as u64;
-    let d2 = (room * start_err_ema_us / (start_err_ema_us + RETUNE_ERR_SCALE_US)) as u32;
-    MobjWeights {
-        locality_pm: base.locality_pm + d1,
-        balance_pm: base.balance_pm - d1,
-        fragmentation_pm: base.fragmentation_pm - d2,
-        starvation_pm: base.starvation_pm + d2,
-    }
-}
-
-/// The multi-objective scheduler (MOBJ, and MOBJ-A when
-/// [`MobjParams::adaptive`] is set).
+/// The multi-objective scheduler.
 #[derive(Debug)]
 pub struct MobjScheduler {
     params: MobjParams,
-    /// The weights currently steering placement (= `params.weights` until
-    /// the first adaptive retune).
-    weights: MobjWeights,
     /// `H_B`: deferred batch tasks in global FIFO order, each tagged with
     /// its deferral time. Timestamps are monotone, so the escalation scan
     /// is a front-prefix pop.
     pending_batch: VecDeque<(SimTime, Task)>,
     /// Batch tasks promoted by [`Scheduler::escalate_deferred`].
     escalated: Vec<Task>,
-    /// Control moves since the last drain.
-    events: Vec<PolicyEvent>,
-    /// Miss-rate EMA, per-mille (adaptive mode).
-    miss_ema_pm: u32,
-    /// Start-time |predicted − measured| EMA, µs (adaptive mode).
-    start_err_ema_us: u64,
-    /// Completions observed (adaptive mode).
-    seen: u32,
     /// Reused per-cycle buffers (see [`ours`](super::ours) for the
     /// pattern).
     scratch: CycleScratch,
@@ -263,16 +187,10 @@ impl MobjScheduler {
     /// Build the scheduler.
     pub fn new(params: MobjParams) -> Self {
         assert!(!params.cycle.is_zero(), "scheduling cycle must be positive");
-        assert!(params.retune_every > 0, "retune interval must be positive");
         MobjScheduler {
-            weights: params.weights,
             params,
             pending_batch: VecDeque::new(),
             escalated: Vec::new(),
-            events: Vec::new(),
-            miss_ema_pm: 0,
-            start_err_ema_us: 0,
-            seen: 0,
             scratch: CycleScratch::default(),
         }
     }
@@ -280,11 +198,6 @@ impl MobjScheduler {
     /// The active parameters.
     pub fn params(&self) -> MobjParams {
         self.params
-    }
-
-    /// The weights currently steering placement.
-    pub fn weights(&self) -> MobjWeights {
-        self.weights
     }
 
     /// Number of batch tasks currently held back.
@@ -313,7 +226,7 @@ impl MobjScheduler {
             }
             let s = objective_score(
                 ctx,
-                &self.weights,
+                &self.params.weights,
                 self.params.starvation_cap,
                 ctx.now,
                 k,
@@ -401,7 +314,7 @@ impl MobjScheduler {
         let mut i = 0usize;
         while i < self.pending_batch.len() {
             let (since, task) = self.pending_batch[i];
-            let gate = batch_gate(ctx.now, lambda, since, self.weights.starvation_pm);
+            let gate = batch_gate(ctx.now, lambda, since, self.params.weights.starvation_pm);
             match self.best_node(ctx, task.chunk, task.bytes, true, Some(gate)) {
                 Some(node) => {
                     self.pending_batch.remove(i);
@@ -412,32 +325,11 @@ impl MobjScheduler {
             }
         }
     }
-
-    fn retune(&mut self) {
-        let new = retuned_weights(
-            &self.params.weights,
-            self.miss_ema_pm,
-            self.start_err_ema_us,
-        );
-        if new != self.weights {
-            self.weights = new;
-            self.events.push(PolicyEvent::WeightsUpdated {
-                locality_pm: new.locality_pm,
-                balance_pm: new.balance_pm,
-                fragmentation_pm: new.fragmentation_pm,
-                starvation_pm: new.starvation_pm,
-            });
-        }
-    }
 }
 
 impl Scheduler for MobjScheduler {
     fn name(&self) -> &'static str {
-        if self.params.adaptive {
-            "MOBJ-A"
-        } else {
-            "MOBJ"
-        }
+        "MOBJ"
     }
 
     fn trigger(&self) -> Trigger {
@@ -508,21 +400,6 @@ impl Scheduler for MobjScheduler {
         self.escalated.extend(moved.into_iter().map(|(_, t)| t));
         per_job
     }
-
-    fn observe_completion(&mut self, feedback: &CompletionFeedback) {
-        if !self.params.adaptive {
-            return;
-        }
-        feedback_step(&mut self.miss_ema_pm, &mut self.start_err_ema_us, feedback);
-        self.seen += 1;
-        if self.seen % self.params.retune_every == 0 {
-            self.retune();
-        }
-    }
-
-    fn drain_policy_events(&mut self) -> Vec<PolicyEvent> {
-        std::mem::take(&mut self.events)
-    }
 }
 
 #[cfg(test)]
@@ -532,25 +409,6 @@ mod tests {
 
     fn mobj() -> MobjScheduler {
         MobjScheduler::new(MobjParams::default())
-    }
-
-    fn mobj_a() -> MobjScheduler {
-        MobjScheduler::new(MobjParams {
-            adaptive: true,
-            ..MobjParams::default()
-        })
-    }
-
-    fn feedback(miss: bool, err_ms: u64) -> CompletionFeedback {
-        CompletionFeedback {
-            node: NodeId(0),
-            chunk: ChunkId::new(crate::ids::DatasetId(0), 0),
-            predicted_start: SimTime::ZERO,
-            predicted_exec: SimDuration::from_millis(10),
-            started: SimTime::from_millis(err_ms),
-            exec: SimDuration::from_millis(10),
-            miss,
-        }
     }
 
     #[test]
@@ -683,52 +541,5 @@ mod tests {
         }
         let out = sched.schedule(&mut fx.ctx(t), vec![]);
         assert_eq!(out.len(), 4, "escalated tasks ride the interactive pass");
-    }
-
-    #[test]
-    fn adaptive_retunes_and_emits_weights_updated() {
-        let mut sched = mobj_a();
-        // 32 missing completions with large start errors: both EMAs rise.
-        for _ in 0..MobjParams::default().retune_every {
-            sched.observe_completion(&feedback(true, 500));
-        }
-        let w = sched.weights();
-        let base = MobjWeights::default();
-        assert!(w.locality_pm > base.locality_pm, "misses boost locality");
-        assert!(w.balance_pm < base.balance_pm);
-        assert!(
-            w.starvation_pm > base.starvation_pm,
-            "errors boost starvation"
-        );
-        assert!(w.fragmentation_pm < base.fragmentation_pm);
-        assert_eq!(
-            w.locality_pm + w.balance_pm + w.fragmentation_pm + w.starvation_pm,
-            1000,
-            "retune preserves the weight sum"
-        );
-        let events = sched.drain_policy_events();
-        assert_eq!(events.len(), 1);
-        assert!(matches!(events[0], PolicyEvent::WeightsUpdated { .. }));
-        assert!(sched.drain_policy_events().is_empty());
-    }
-
-    #[test]
-    fn non_adaptive_ignores_feedback() {
-        let mut sched = mobj();
-        for _ in 0..100 {
-            sched.observe_completion(&feedback(true, 500));
-        }
-        assert_eq!(sched.weights(), MobjWeights::default());
-        assert!(sched.drain_policy_events().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_retune_interval_rejected() {
-        MobjScheduler::new(MobjParams {
-            adaptive: true,
-            retune_every: 0,
-            ..MobjParams::default()
-        });
     }
 }

@@ -1,6 +1,6 @@
 //! The scheduling framework: the [`Scheduler`] trait, its invocation
 //! context, the six policies evaluated in the paper, and the post-paper
-//! policy family (FRAC / MOBJ / MOBJ-A) built on the same surface.
+//! policy family (FRAC / MOBJ) built on the same surface.
 //!
 //! | Policy | Module | Locality | Trigger | Decomposition |
 //! |--------|--------|----------|---------|---------------|
@@ -13,15 +13,12 @@
 //! | FSD    | [`fsd`]   | delay scheduling (extension) | cycle | `Chk_max` |
 //! | FRAC   | [`frac`]  | yes + per-node shares | cycle | `Chk_max` |
 //! | MOBJ   | [`mobj`]  | weighted objective vector | cycle | `Chk_max` |
-//! | MOBJ-A | [`mobj`]  | as MOBJ, weights retuned online | cycle | `Chk_max` |
 //!
 //! A scheduler maps queued jobs to per-node task assignments, updating the
 //! head tables optimistically as it goes; the execution substrate (the
 //! discrete-event simulator or the live service) later corrects the tables
-//! with observed reality. Adaptive policies additionally receive the
-//! observed reality themselves through
-//! [`Scheduler::observe_completion`] and report their internal control
-//! moves through [`Scheduler::drain_policy_events`]; see
+//! with observed reality. Policies with internal control state report
+//! their control moves through [`Scheduler::drain_policy_events`]; see
 //! `docs/POLICY_GUIDE.md` for the end-to-end recipe for adding a policy.
 
 pub mod fcfs;
@@ -385,38 +382,13 @@ pub(crate) fn cold_batch_protected(
     idle_us.saturating_mul(1000) < (protect_pm as u64).saturating_mul(est_us)
 }
 
-/// One completed task's measured reality, fed back to the policy that
-/// placed it (§V-B closes the loop for the *tables*; this closes it for
-/// the *policy*). The predicted fields are the optimistic bookkeeping the
-/// policy committed in its [`Assignment`]; the measured fields are what
-/// the substrate actually observed. Adaptive policies (MOBJ-A) retune
-/// their weights from the gap between the two.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CompletionFeedback {
-    /// The node the task ran on.
-    pub node: NodeId,
-    /// The chunk it rendered.
-    pub chunk: ChunkId,
-    /// Start time predicted at commit (`Available[R_k]` then).
-    pub predicted_start: SimTime,
-    /// Execution span predicted at commit (`Estimate[c]` + α then).
-    pub predicted_exec: SimDuration,
-    /// Measured start time.
-    pub started: SimTime,
-    /// Measured execution span.
-    pub exec: SimDuration,
-    /// Whether the chunk had to be loaded from disk (a cache miss).
-    pub miss: bool,
-}
-
 /// An internal control move a policy wants surfaced on the probe stream.
 /// The head runtime drains these after every invocation
 /// ([`Scheduler::drain_policy_events`]) and stamps them with the cycle
 /// time; `vizsched-core` cannot depend on the metrics crate, so the
-/// variants mirror the `share_adjusted` / `weights_updated` trace events
-/// structurally. All quantities are integer per-mille — policy control
-/// state is integer end to end, which is what lets the reference twins be
-/// bit-identical.
+/// variants mirror the `share_adjusted` trace event structurally. All
+/// quantities are integer per-mille — policy control state is integer end
+/// to end, which is what lets the reference twins be bit-identical.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PolicyEvent {
     /// FRAC adjusted a node's interactive share `φ_k`.
@@ -425,17 +397,6 @@ pub enum PolicyEvent {
         node: NodeId,
         /// The new interactive share, in per-mille of the cycle.
         interactive_pm: u32,
-    },
-    /// MOBJ-A retuned its objective weights.
-    WeightsUpdated {
-        /// Cache-locality weight (per-mille).
-        locality_pm: u32,
-        /// Load-balance weight (per-mille).
-        balance_pm: u32,
-        /// Fragmentation weight (per-mille).
-        fragmentation_pm: u32,
-        /// Starvation-age weight (per-mille).
-        starvation_pm: u32,
     },
 }
 
@@ -488,15 +449,6 @@ pub trait Scheduler: Send {
         Vec::new()
     }
 
-    /// Feedback hook: one completed task's measured reality against the
-    /// prediction this policy committed. The head runtime calls this once
-    /// per completion, in completion order, on both substrates. Policies
-    /// that do not learn online keep this default no-op; MOBJ-A retunes
-    /// its objective weights from the stream.
-    fn observe_completion(&mut self, feedback: &CompletionFeedback) {
-        let _ = feedback;
-    }
-
     /// Drain the control moves this policy made since the last drain, in
     /// the order it made them. The head runtime converts them to trace
     /// events after every invocation; policies with no internal control
@@ -531,8 +483,6 @@ pub enum SchedulerKind {
     /// Weighted multi-objective placement scoring (post-paper extension,
     /// see [`mobj`]).
     Mobj,
-    /// MOBJ with the weights retuned online from completion feedback.
-    MobjAdaptive,
 }
 
 impl SchedulerKind {
@@ -555,13 +505,9 @@ impl SchedulerKind {
     ];
 
     /// The post-paper policy family (ROADMAP item 2): fractional
-    /// time-slicing and the multi-objective scorers. Not part of
+    /// time-slicing and the multi-objective scorer. Not part of
     /// [`SchedulerKind::ALL`] — the paper's figures stay the paper's.
-    pub const EXTENDED: [SchedulerKind; 3] = [
-        SchedulerKind::Frac,
-        SchedulerKind::Mobj,
-        SchedulerKind::MobjAdaptive,
-    ];
+    pub const EXTENDED: [SchedulerKind; 2] = [SchedulerKind::Frac, SchedulerKind::Mobj];
 
     /// Display name matching the paper.
     pub fn name(&self) -> &'static str {
@@ -575,7 +521,6 @@ impl SchedulerKind {
             SchedulerKind::Ours => "OURS",
             SchedulerKind::Frac => "FRAC",
             SchedulerKind::Mobj => "MOBJ",
-            SchedulerKind::MobjAdaptive => "MOBJ-A",
         }
     }
 
@@ -601,11 +546,6 @@ impl SchedulerKind {
                 cycle,
                 ..MobjParams::default()
             })),
-            SchedulerKind::MobjAdaptive => Box::new(MobjScheduler::new(MobjParams {
-                cycle,
-                adaptive: true,
-                ..MobjParams::default()
-            })),
         }
     }
 }
@@ -624,7 +564,6 @@ impl std::str::FromStr for SchedulerKind {
             "OURS" => Ok(SchedulerKind::Ours),
             "FRAC" => Ok(SchedulerKind::Frac),
             "MOBJ" => Ok(SchedulerKind::Mobj),
-            "MOBJ-A" => Ok(SchedulerKind::MobjAdaptive),
             other => Err(format!("unknown scheduler '{other}'")),
         }
     }

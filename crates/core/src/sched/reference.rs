@@ -31,10 +31,9 @@
 //! [`ScheduleCtx::earliest_node_with_locality`]: super::ScheduleCtx::earliest_node_with_locality
 
 use super::frac::{batch_lambda, share_step};
-use super::mobj::{batch_gate, feedback_step, objective_score, retuned_weights};
+use super::mobj::{batch_gate, objective_score};
 use super::{
-    Assignment, CompletionFeedback, FracParams, MobjParams, MobjWeights, OursParams, PolicyEvent,
-    ScheduleCtx, Scheduler, Trigger,
+    Assignment, FracParams, MobjParams, OursParams, PolicyEvent, ScheduleCtx, Scheduler, Trigger,
 };
 use crate::fxhash::FxHashMap;
 use crate::ids::{ChunkId, JobId, NodeId};
@@ -287,7 +286,7 @@ impl Scheduler for ReferenceFcfslScheduler {
 
 /// Straight-line FRAC: the same per-node share controller and batch
 /// windows as [`FracScheduler`](super::FracScheduler) (the share
-/// arithmetic is literally shared — [`share_step`] / [`batch_lambda`]),
+/// arithmetic is literally shared — `share_step` / `batch_lambda`),
 /// but with OURS-reference interactive placement (full O(p) scans, fresh
 /// bucket maps each cycle) and no reused scratch.
 #[derive(Debug)]
@@ -513,38 +512,27 @@ impl Scheduler for ReferenceFracScheduler {
     }
 }
 
-/// Straight-line MOBJ / MOBJ-A: the textbook form of the objective —
-/// balance anchored at `min_k ready_at(k)`, computed by a dedicated full
-/// scan before every placement — with fresh allocations each cycle. The
-/// scoring kernel and adaptive rule are shared with the optimized
-/// scheduler ([`objective_score`] / [`feedback_step`] /
-/// [`retuned_weights`]); what the equivalence suite proves is that the
-/// optimized path's constant-shift anchor (`now`) and scratch reuse
-/// change nothing.
+/// Straight-line MOBJ: the textbook form of the objective — balance
+/// anchored at `min_k ready_at(k)`, computed by a dedicated full scan
+/// before every placement — with fresh allocations each cycle. The
+/// scoring kernel is shared with the optimized scheduler
+/// (`objective_score` / `batch_gate`); what the equivalence suite proves
+/// is that the optimized path's constant-shift anchor (`now`) and scratch
+/// reuse change nothing.
 #[derive(Debug)]
 pub struct ReferenceMobjScheduler {
     params: MobjParams,
-    weights: MobjWeights,
     pending_batch: VecDeque<(SimTime, Task)>,
     escalated: Vec<Task>,
-    events: Vec<PolicyEvent>,
-    miss_ema_pm: u32,
-    start_err_ema_us: u64,
-    seen: u32,
 }
 
 impl ReferenceMobjScheduler {
     /// Build the reference scheduler.
     pub fn new(params: MobjParams) -> Self {
         ReferenceMobjScheduler {
-            weights: params.weights,
             params,
             pending_batch: VecDeque::new(),
             escalated: Vec::new(),
-            events: Vec::new(),
-            miss_ema_pm: 0,
-            start_err_ema_us: 0,
-            seen: 0,
         }
     }
 
@@ -579,7 +567,7 @@ impl ReferenceMobjScheduler {
             }
             let s = objective_score(
                 ctx,
-                &self.weights,
+                &self.params.weights,
                 self.params.starvation_cap,
                 anchor,
                 k,
@@ -597,11 +585,7 @@ impl ReferenceMobjScheduler {
 
 impl Scheduler for ReferenceMobjScheduler {
     fn name(&self) -> &'static str {
-        if self.params.adaptive {
-            "MOBJ-A-REF"
-        } else {
-            "MOBJ-REF"
-        }
+        "MOBJ-REF"
     }
 
     fn trigger(&self) -> Trigger {
@@ -659,7 +643,7 @@ impl Scheduler for ReferenceMobjScheduler {
         let mut i = 0usize;
         while i < self.pending_batch.len() {
             let (since, task) = self.pending_batch[i];
-            let gate = batch_gate(ctx.now, lambda, since, self.weights.starvation_pm);
+            let gate = batch_gate(ctx.now, lambda, since, self.params.weights.starvation_pm);
             match self.best_node(ctx, task.chunk, task.bytes, true, Some(gate)) {
                 Some(node) => {
                     self.pending_batch.remove(i);
@@ -704,33 +688,5 @@ impl Scheduler for ReferenceMobjScheduler {
         }
         self.escalated.extend(moved.into_iter().map(|(_, t)| t));
         per_job
-    }
-
-    fn observe_completion(&mut self, feedback: &CompletionFeedback) {
-        if !self.params.adaptive {
-            return;
-        }
-        feedback_step(&mut self.miss_ema_pm, &mut self.start_err_ema_us, feedback);
-        self.seen += 1;
-        if self.seen % self.params.retune_every == 0 {
-            let new = retuned_weights(
-                &self.params.weights,
-                self.miss_ema_pm,
-                self.start_err_ema_us,
-            );
-            if new != self.weights {
-                self.weights = new;
-                self.events.push(PolicyEvent::WeightsUpdated {
-                    locality_pm: new.locality_pm,
-                    balance_pm: new.balance_pm,
-                    fragmentation_pm: new.fragmentation_pm,
-                    starvation_pm: new.starvation_pm,
-                });
-            }
-        }
-    }
-
-    fn drain_policy_events(&mut self) -> Vec<PolicyEvent> {
-        std::mem::take(&mut self.events)
     }
 }

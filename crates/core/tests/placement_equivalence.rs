@@ -18,9 +18,9 @@ use vizsched_core::data::{uniform_datasets, Catalog, DecompositionPolicy};
 use vizsched_core::ids::{ActionId, BatchId, ChunkId, DatasetId, JobId, NodeId, UserId};
 use vizsched_core::job::{FrameParams, Job, JobKind};
 use vizsched_core::sched::{
-    CompletionFeedback, FcfslScheduler, FracParams, FracScheduler, MobjParams, MobjScheduler,
-    OursParams, OursScheduler, ReferenceFcfslScheduler, ReferenceFracScheduler,
-    ReferenceMobjScheduler, ReferenceOursScheduler, ScheduleCtx, Scheduler,
+    FcfslScheduler, FracParams, FracScheduler, MobjParams, MobjScheduler, OursParams,
+    OursScheduler, ReferenceFcfslScheduler, ReferenceFracScheduler, ReferenceMobjScheduler,
+    ReferenceOursScheduler, ScheduleCtx, Scheduler,
 };
 use vizsched_core::tables::HeadTables;
 use vizsched_core::time::{SimDuration, SimTime};
@@ -194,16 +194,12 @@ impl Case {
     /// The policy-family driver: on top of [`Case::run`]'s assignment and
     /// deferral equality it also demands identical
     /// [`Scheduler::drain_policy_events`] streams and identical
-    /// [`Scheduler::escalate_deferred`] promotions, and (when
-    /// `feed_completions` is set) pushes the same synthesized
-    /// [`CompletionFeedback`] reports — jittered starts, random misses —
-    /// into both schedulers so the adaptive retune rule is exercised.
+    /// [`Scheduler::escalate_deferred`] promotions.
     fn run_policy(
         &self,
         cycle: SimDuration,
         opt: &mut dyn Scheduler,
         reference: &mut dyn Scheduler,
-        feed_completions: bool,
     ) {
         let mut rng = Rng(self.seed ^ 0xdead_beef);
         let mut tables_opt = HeadTables::new(&self.cluster);
@@ -252,21 +248,6 @@ impl Case {
                 self.seed
             );
 
-            if feed_completions {
-                for a in &out_opt {
-                    let fb = CompletionFeedback {
-                        node: a.node,
-                        chunk: a.task.chunk,
-                        predicted_start: a.predicted_start,
-                        predicted_exec: a.predicted_exec,
-                        started: a.predicted_start + SimDuration::from_millis(rng.below(80)),
-                        exec: a.predicted_exec,
-                        miss: rng.chance(40),
-                    };
-                    opt.observe_completion(&fb);
-                    reference.observe_completion(&fb);
-                }
-            }
             if rng.chance(30) {
                 let age = SimDuration::from_millis(rng.below(500));
                 assert_eq!(
@@ -406,7 +387,7 @@ fn frac_matches_reference_across_random_cases() {
         let cycle = SimDuration::from_millis(30);
         let mut opt = FracScheduler::new(FracParams::default());
         let mut reference = ReferenceFracScheduler::new(FracParams::default());
-        case.run_policy(cycle, &mut opt, &mut reference, false);
+        case.run_policy(cycle, &mut opt, &mut reference);
     }
 }
 
@@ -421,26 +402,6 @@ fn mobj_matches_reference_across_random_cases() {
         let cycle = SimDuration::from_millis(30);
         let mut opt = MobjScheduler::new(MobjParams::default());
         let mut reference = ReferenceMobjScheduler::new(MobjParams::default());
-        case.run_policy(cycle, &mut opt, &mut reference, false);
-    }
-}
-
-/// MOBJ-A under a live feedback stream: identical synthesized completion
-/// reports (jittered starts, random cache misses) drive both twins'
-/// EMAs and periodic retunes, so the weight trajectories — observable
-/// through `weights_updated` policy events — must stay in lockstep and
-/// every placement made under the retuned weights must match.
-#[test]
-fn mobj_adaptive_matches_reference_with_feedback() {
-    for n in 0..30u64 {
-        let case = Case::generate(0xada7_0000 + n);
-        let cycle = SimDuration::from_millis(30);
-        let params = MobjParams {
-            adaptive: true,
-            ..MobjParams::default()
-        };
-        let mut opt = MobjScheduler::new(params);
-        let mut reference = ReferenceMobjScheduler::new(params);
-        case.run_policy(cycle, &mut opt, &mut reference, true);
+        case.run_policy(cycle, &mut opt, &mut reference);
     }
 }

@@ -66,9 +66,7 @@ use vizsched_core::data::Catalog;
 use vizsched_core::fxhash::FxHashMap;
 use vizsched_core::ids::{ChunkId, JobId, NodeId, UserId};
 use vizsched_core::job::{FrameParams, Job};
-use vizsched_core::sched::{
-    Assignment, CompletionFeedback, PolicyEvent, ScheduleCtx, Scheduler, Trigger,
-};
+use vizsched_core::sched::{Assignment, PolicyEvent, ScheduleCtx, Scheduler, Trigger};
 use vizsched_core::tables::HeadTables;
 use vizsched_core::time::{SimDuration, SimTime};
 pub use vizsched_metrics::{DropReason, RejectReason};
@@ -815,34 +813,21 @@ impl HeadRuntime {
         // in dispatch order on FIFO nodes, but match on identity to stay
         // robust against reordered reports.
         let queue = &mut self.outstanding[done.node.index()];
-        let matched = match queue
+        match queue
             .iter()
             .position(|a| a.task.job == done.job && a.task.index == done.task)
         {
-            Some(i) => Some(queue.remove(i)),
+            Some(i) => {
+                queue.remove(i);
+            }
             None if !queue.is_empty() => {
                 queue.remove(0);
-                None
             }
-            None => None,
-        };
+            None => {}
+        }
         let backlog = queue
             .iter()
             .fold(SimDuration::ZERO, |acc, a| acc + a.predicted_exec);
-        // Feed the prediction-vs-reality report back to the policy (the
-        // probe stream's error signal; MOBJ-A retunes its weights from it,
-        // every other policy ignores it via the default no-op).
-        if let Some(a) = matched {
-            self.scheduler.observe_completion(&CompletionFeedback {
-                node: done.node,
-                chunk: done.chunk,
-                predicted_start: a.predicted_start,
-                predicted_exec: a.predicted_exec,
-                started: done.started,
-                exec: done.finish.saturating_since(done.started),
-                miss: done.miss,
-            });
-        }
         if tracing {
             self.probe.on_event(&TraceEvent::AvailableCorrection {
                 now,
@@ -1027,18 +1012,6 @@ impl HeadRuntime {
                     now,
                     node,
                     interactive_pm,
-                }),
-                PolicyEvent::WeightsUpdated {
-                    locality_pm,
-                    balance_pm,
-                    fragmentation_pm,
-                    starvation_pm,
-                } => self.probe.on_event(&TraceEvent::WeightsUpdated {
-                    now,
-                    locality_pm,
-                    balance_pm,
-                    fragmentation_pm,
-                    starvation_pm,
                 }),
             }
         }

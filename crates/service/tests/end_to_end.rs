@@ -404,6 +404,56 @@ fn remote_client_renders_over_tcp() {
     std::fs::remove_dir_all(root).ok();
 }
 
+/// The server closes a connection that sends a server-side message or a
+/// frame the codec rejects, and keeps serving every other connection.
+#[test]
+fn tcp_server_drops_misbehaving_connections() {
+    use std::io::Write;
+    use std::net::TcpStream;
+    use vizsched_service::{Codec, RemoteClient, TcpServer, WireMessage};
+
+    let (service, root) = small_service("tcp-bad-input");
+    let server = TcpServer::start("127.0.0.1:0", service.request_sender()).expect("bind");
+    let addr = server.addr();
+    let client = RemoteClient::connect(addr, UserId(7)).expect("connect");
+
+    let mut hello = Vec::new();
+    Codec::new()
+        .write(&mut hello, &WireMessage::Hello { epoch: 1 })
+        .unwrap();
+    // A length prefix of zero: the codec rejects it before reading a body.
+    let malformed = vec![0u8; 5];
+    for (what, bytes) in [("a client Hello", hello), ("a malformed frame", malformed)] {
+        let mut raw = TcpStream::connect(addr).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut codec = Codec::new();
+        assert!(
+            matches!(codec.read(&mut raw), Ok(Some(WireMessage::Hello { .. }))),
+            "the server greets before {what}"
+        );
+        raw.write_all(&bytes).unwrap();
+        assert!(
+            matches!(codec.read(&mut raw), Ok(None)),
+            "the server must close the connection that sent {what}"
+        );
+    }
+
+    let reply = client
+        .render_interactive(ActionId(0), DatasetId(0), frame(0.1))
+        .unwrap()
+        .recv_timeout(Duration::from_secs(60))
+        .expect("frame")
+        .into_frame()
+        .expect("a frame");
+    assert_eq!((reply.width, reply.height), (64, 64));
+
+    drop(client);
+    server.stop();
+    let stats = service.drain_and_shutdown();
+    assert_eq!(stats.jobs_completed, 1);
+    std::fs::remove_dir_all(root).ok();
+}
+
 #[test]
 fn probe_observes_the_live_head_loop() {
     use vizsched_metrics::{CollectingProbe, TraceEvent};

@@ -85,6 +85,47 @@ fn design_md_schema_table_has_a_row_per_trace_event() {
     );
 }
 
+/// The reverse of the check above: the §8 schema table and its worked
+/// example block may only name live tags, so a deleted `TraceEvent`
+/// variant cannot leave a stale row or example line behind.
+#[test]
+fn design_md_schema_table_names_only_live_trace_events() {
+    let design = read("DESIGN.md");
+    let section = design_section(&design, 8);
+    // The table: the header row and the `|`-prefixed lines that follow it.
+    let table: Vec<&str> = section
+        .lines()
+        .skip_while(|l| !l.starts_with("| `TraceEvent` |"))
+        .take_while(|l| l.starts_with('|'))
+        .collect();
+    assert!(table.len() > 2, "DESIGN.md section 8 has no schema table");
+    let stale_rows: Vec<&str> = table[2..]
+        .iter()
+        .map(|row| {
+            row.split('|')
+                .nth(2)
+                .expect("row has a tag cell")
+                .trim()
+                .trim_matches('`')
+        })
+        .filter(|tag| !TraceEvent::TAGS.contains(tag))
+        .collect();
+    assert!(
+        stale_rows.is_empty(),
+        "DESIGN.md section 8 schema table has rows for tags not in TraceEvent::TAGS: {stale_rows:?}"
+    );
+    let stale_examples: Vec<&str> = section
+        .lines()
+        .filter_map(|l| l.strip_prefix("{\"t\":\""))
+        .map(|rest| rest.split('"').next().expect("split yields a first piece"))
+        .filter(|tag| !TraceEvent::TAGS.contains(tag))
+        .collect();
+    assert!(
+        stale_examples.is_empty(),
+        "DESIGN.md section 8 worked examples use tags not in TraceEvent::TAGS: {stale_examples:?}"
+    );
+}
+
 /// Every policy name in the README's "Scheduling policies" table must
 /// parse via `SchedulerKind::from_str` — the table is the user-facing
 /// registry, so a renamed or removed variant orphans it loudly. The
@@ -133,16 +174,14 @@ fn readme_policy_table_names_parse() {
     }
 }
 
-/// The policy-family trace tags are part of the documented schema; pin
-/// them so a rename breaks the docs tests, not just downstream parsers.
+/// The policy-family trace tag is part of the documented schema; pin it
+/// so a rename breaks the docs tests, not just downstream parsers.
 #[test]
 fn policy_trace_tags_are_pinned() {
-    for tag in ["weights_updated", "share_adjusted"] {
-        assert!(
-            TraceEvent::TAGS.contains(&tag),
-            "TraceEvent::TAGS lost the `{tag}` tag the docs promise"
-        );
-    }
+    assert!(
+        TraceEvent::TAGS.contains(&"share_adjusted"),
+        "TraceEvent::TAGS lost the `share_adjusted` tag the docs promise"
+    );
 }
 
 /// The overload-policy section must name every policy knob and every

@@ -112,9 +112,9 @@ proptest! {
     fn all_tasks_assigned_exactly_once(
         specs in job_specs(),
         nodes in 1usize..9,
-        kind_pick in 0usize..9,
+        kind_pick in 0usize..8,
     ) {
-        // The paper's six plus the post-paper family (FRAC/MOBJ/MOBJ-A).
+        // The paper's six plus the post-paper family (FRAC/MOBJ): eight.
         let kind = *SchedulerKind::ALL
             .iter()
             .chain(SchedulerKind::EXTENDED.iter())
@@ -145,7 +145,7 @@ proptest! {
     fn scheduling_is_deterministic(
         specs in job_specs(),
         nodes in 1usize..9,
-        kind_pick in 0usize..9,
+        kind_pick in 0usize..8,
     ) {
         let kind = *SchedulerKind::ALL
             .iter()

@@ -75,6 +75,29 @@ impl FaultKind {
             FaultKind::ShardCrash(s) => (InjectedFault::ShardCrash, s.0, 0),
         }
     }
+
+    /// The inverse of [`FaultKind::injected`]: rebuild the fault a
+    /// `fault_injected` event (or a recorded `fault` line) describes.
+    pub fn from_injected(kind: InjectedFault, target: u32, param: u32) -> FaultKind {
+        match kind {
+            InjectedFault::NodeCrash => FaultKind::NodeCrash(NodeId(target)),
+            InjectedFault::NodeRespawn => FaultKind::NodeRespawn(NodeId(target)),
+            InjectedFault::NodeDegrade => FaultKind::NodeDegrade {
+                node: NodeId(target),
+                factor_pm: param,
+            },
+            InjectedFault::NodeRestore => FaultKind::NodeRestore(NodeId(target)),
+            InjectedFault::LeafOutage => FaultKind::LeafOutage {
+                base: NodeId(target),
+                count: param,
+            },
+            InjectedFault::LeafRecover => FaultKind::LeafRecover {
+                base: NodeId(target),
+                count: param,
+            },
+            InjectedFault::ShardCrash => FaultKind::ShardCrash(ShardId(target)),
+        }
+    }
 }
 
 /// One scheduled fault.
@@ -253,6 +276,35 @@ mod tests {
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(plan.len(), 3);
         assert_eq!(plan.events()[0].kind, FaultKind::NodeCrash(NodeId(0)));
+    }
+
+    #[test]
+    fn injected_triples_round_trip() {
+        let kinds = [
+            FaultKind::NodeCrash(NodeId(3)),
+            FaultKind::NodeRespawn(NodeId(3)),
+            FaultKind::NodeDegrade {
+                node: NodeId(1),
+                factor_pm: 2500,
+            },
+            FaultKind::NodeRestore(NodeId(1)),
+            FaultKind::LeafOutage {
+                base: NodeId(4),
+                count: 2,
+            },
+            FaultKind::LeafRecover {
+                base: NodeId(4),
+                count: 2,
+            },
+            FaultKind::ShardCrash(ShardId(1)),
+        ];
+        let mut tags = std::collections::BTreeSet::new();
+        for kind in kinds {
+            let (injected, target, param) = kind.injected();
+            tags.insert(injected.as_str());
+            assert_eq!(FaultKind::from_injected(injected, target, param), kind);
+        }
+        assert_eq!(tags.len(), 7, "every fault kind covered");
     }
 
     #[test]

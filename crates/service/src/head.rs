@@ -5,12 +5,11 @@
 //! All scheduling logic — cycle dispatch, table correction from task
 //! completions, fault handling — is the shared `vizsched-runtime`
 //! [`HeadRuntime`], driven here on the wall clock by crossbeam channels:
-//! the live counterpart of the simulator's event loop. A render node that
-//! dies (its channel disconnects, or it is killed via
-//! [`VizService::kill_node`]) is reported as a `NodeFault` and its
-//! outstanding tasks are rerouted to live nodes; with
-//! [`ServiceConfig::restart_nodes`] the service then respawns the worker
-//! and rejoins it cold-cached.
+//! the live counterpart of the simulator's event loop. Faults are injected
+//! only through [`ServiceConfig::fault_plan`]: a render node that dies (a
+//! planned crash, or its channel disconnecting) is reported as a
+//! `NodeFault` and its outstanding tasks are rerouted to live nodes; a
+//! planned respawn then restarts the worker and rejoins it cold-cached.
 
 use crate::node::{run_node, NodeConfig};
 use crate::protocol::{
@@ -60,20 +59,10 @@ pub struct ServiceConfig {
     pub cycle: SimDuration,
     /// Cost model used for predictions.
     pub cost: CostParams,
-    /// Compositing strategy for assembled frames.
-    pub composite: CompositeAlgo,
     /// Observability sink: the head runtime reports every scheduling
     /// decision, completion, and table correction here. Defaults to
     /// [`NoopProbe`] (free).
     pub probe: Arc<dyn Probe>,
-    /// Respawn a render node's worker thread after a fault, rejoining it
-    /// cold-cached (the recovery half of §VI-D). Off by default: a dead
-    /// node stays down and its work runs elsewhere.
-    pub restart_nodes: bool,
-    /// Capacity of the bounded request queue in front of the head loop.
-    /// In-process clients block when it fills (backpressure); the TCP
-    /// front sheds instead, answering `Overloaded` without blocking.
-    pub queue_capacity: usize,
     /// Admission-control policy applied by the head runtime: in-flight
     /// caps, per-job deadlines, stale-frame coalescing, batch
     /// anti-starvation. Inactive by default (everything is admitted).
@@ -86,9 +75,9 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Seedable fault schedule, executed on the service clock with the
     /// same semantics as the simulator's plan execution: node
-    /// crash/respawn (a plan crash stays down until its planned respawn,
-    /// even with [`ServiceConfig::restart_nodes`]), degrade/restore,
-    /// correlated leaf outage, and shard-head crash with failover.
+    /// crash/respawn (a crashed node stays down until its planned
+    /// respawn), degrade/restore, correlated leaf outage, and shard-head
+    /// crash with failover.
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -101,10 +90,7 @@ impl std::fmt::Debug for ServiceConfig {
             .field("scheduler", &self.scheduler)
             .field("cycle", &self.cycle)
             .field("cost", &self.cost)
-            .field("composite", &self.composite)
             .field("probe_enabled", &self.probe.enabled())
-            .field("restart_nodes", &self.restart_nodes)
-            .field("queue_capacity", &self.queue_capacity)
             .field("overload", &self.overload)
             .field("shards", &self.shards)
             .field("fault_plan", &self.fault_plan)
@@ -121,10 +107,7 @@ impl Default for ServiceConfig {
             scheduler: SchedulerKind::Ours,
             cycle: SimDuration::from_millis(30),
             cost: CostParams::default(),
-            composite: CompositeAlgo::Auto,
             probe: Arc::new(NoopProbe),
-            restart_nodes: false,
-            queue_capacity: 1024,
             overload: OverloadPolicy::default(),
             shards: 1,
             fault_plan: None,
@@ -169,28 +152,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Set the compositing strategy.
-    pub fn composite(mut self, composite: CompositeAlgo) -> Self {
-        self.composite = composite;
-        self
-    }
-
     /// Attach an observability probe.
     pub fn probe(mut self, probe: Arc<dyn Probe>) -> Self {
         self.probe = probe;
-        self
-    }
-
-    /// Respawn render-node workers after faults.
-    pub fn restart_nodes(mut self, on: bool) -> Self {
-        self.restart_nodes = on;
-        self
-    }
-
-    /// Set the bounded request-queue capacity (must be nonzero).
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be nonzero");
-        self.queue_capacity = capacity;
         self
     }
 
@@ -244,6 +208,11 @@ pub struct ServiceStats {
     pub degraded_shed: u64,
 }
 
+/// Capacity of the bounded request queue in front of the head loop.
+/// In-process clients block when it fills (backpressure); the TCP front
+/// sheds instead, answering `Overloaded` without blocking.
+const QUEUE_CAPACITY: usize = 1024;
+
 /// Control-plane commands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Control {
@@ -251,8 +220,6 @@ enum Control {
     Stop,
     /// Finish every accepted job, then stop.
     Drain,
-    /// Abruptly kill one render node's worker thread (fault injection).
-    KillNode(usize),
 }
 
 /// A running visualization service.
@@ -266,11 +233,10 @@ impl VizService {
     /// Start the service over an existing chunk store.
     pub fn start(config: ServiceConfig, store: Arc<ChunkStore>) -> VizService {
         assert!(config.nodes > 0, "service needs at least one render node");
-        assert!(config.queue_capacity > 0, "queue capacity must be nonzero");
         // A fresh incarnation: TCP fronts greet clients with this epoch so
         // reconnecting clients can tell a respawned head from a live one.
         crate::tcp::bump_service_epoch();
-        let (req_tx, req_rx) = bounded::<RenderRequest>(config.queue_capacity);
+        let (req_tx, req_rx) = bounded::<RenderRequest>(QUEUE_CAPACITY);
         let (ctl_tx, ctl_rx) = unbounded::<Control>();
         let head = std::thread::spawn(move || head_loop(&config, &store, req_rx, ctl_rx));
         VizService {
@@ -283,14 +249,6 @@ impl VizService {
     /// The request endpoint for building clients.
     pub fn request_sender(&self) -> Sender<RenderRequest> {
         self.requests.clone()
-    }
-
-    /// Abruptly kill one render node's worker thread (fault injection):
-    /// its queued tasks are dropped and rerouted to live nodes once the
-    /// head observes the fault. With [`ServiceConfig::restart_nodes`] the
-    /// node is then respawned cold-cached.
-    pub fn kill_node(&self, node: usize) {
-        let _ = self.control.send(Control::KillNode(node));
     }
 
     /// Stop the service (in-flight jobs are abandoned) and collect stats.
@@ -478,16 +436,14 @@ fn head_loop(
 
     // The fault plan, executed in time order on the service clock (each
     // entry fires at the first loop iteration at or after its time — the
-    // ticker bounds the delay to one cycle). `plan_down` marks nodes a
-    // plan crash took out: they stay down until their planned respawn,
-    // even under `restart_nodes`.
+    // ticker bounds the delay to one cycle).
     let plan: Vec<vizsched_runtime::FaultEvent> = config
         .fault_plan
         .as_ref()
         .map(|p| p.events().to_vec())
         .unwrap_or_default();
     let mut plan_cursor = 0usize;
-    let mut plan_down = vec![false; config.nodes];
+    let mut plan_state = vec![PlanState::Up; config.nodes];
 
     let ticker = crossbeam::channel::tick(std::time::Duration::from_micros(
         config.cycle.as_micros().max(1),
@@ -496,12 +452,12 @@ fn head_loop(
     loop {
         // Dispatches that bounced off a dead channel surface as faults.
         while let Some(node) = sub.send_failures.pop() {
-            node_fault(config, &mut runtime, &mut sub, now(), node, &plan_down);
+            runtime.on_node_fault(&mut sub, now(), node);
         }
         while plan_cursor < plan.len() && plan[plan_cursor].at <= now() {
             let kind = plan[plan_cursor].kind;
             plan_cursor += 1;
-            plan_fault(config, &mut runtime, &mut sub, now(), kind, &mut plan_down);
+            plan_fault(config, &mut runtime, &mut sub, now(), kind, &mut plan_state);
         }
         if draining
             && sub.pending.is_empty()
@@ -515,11 +471,6 @@ fn head_loop(
             recv(control) -> msg => match msg {
                 Ok(Control::Stop) | Err(_) => break,
                 Ok(Control::Drain) => draining = true,
-                Ok(Control::KillNode(k)) => {
-                    if k < sub.txs.len() {
-                        sub.kill(k);
-                    }
-                }
             },
             recv(requests) -> msg => {
                 let Ok(req) = msg else { break };
@@ -555,15 +506,20 @@ fn head_loop(
             }
             recv(from_nodes) -> msg => match msg {
                 Ok(ToHead::TaskDone(done)) => {
-                    handle_task_done(done, &mut runtime, &mut sub, config, now());
+                    handle_task_done(done, &mut runtime, &mut sub, now());
                 }
                 Ok(ToHead::Stopped { node, epoch }) => {
                     // A replaced thread's parting report is stale; the
                     // current incarnation's means the node just died.
                     let k = node as usize;
                     if k < sub.epochs.len() && sub.epochs[k] == epoch {
-                        node_fault(config, &mut runtime, &mut sub, now(), NodeId(node),
-                            &plan_down);
+                        let node = NodeId(node);
+                        runtime.on_node_fault(&mut sub, now(), node);
+                        if plan_state[k] == PlanState::RespawnPending {
+                            plan_state[k] = PlanState::Up;
+                            sub.respawn(k);
+                            runtime.on_node_recover(now(), node);
+                        }
                     }
                 }
                 Err(_) => {}
@@ -612,22 +568,42 @@ fn shed(sub: &mut LiveSubstrate, job: JobId, outcome: RenderOutcome) {
     });
 }
 
-/// One node fault: reroute its outstanding work through the runtime and,
-/// when configured, respawn the worker and rejoin it cold-cached. A node
-/// the fault plan crashed stays down until its planned respawn even under
-/// `restart_nodes` — otherwise the chaos schedule would be un-replayable.
-fn node_fault(
-    config: &ServiceConfig,
+/// Where a node stands in the fault plan on the live service.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum PlanState {
+    /// Not taken out by the plan; a planned respawn is a no-op.
+    Up,
+    /// A plan crash took the node out; it stays down until its planned
+    /// respawn.
+    Down,
+    /// The planned respawn overtook the crash report: the killed worker
+    /// has not sent its `Stopped` yet, so the runtime still counts the
+    /// node as up. The `Stopped` handler re-places the node's lost work
+    /// first, then respawns it.
+    RespawnPending,
+}
+
+fn plan_crash(plan: &mut [PlanState], sub: &mut LiveSubstrate, node: NodeId) {
+    plan[node.index()] = PlanState::Down;
+    sub.kill(node.index());
+}
+
+fn plan_respawn(
+    plan: &mut [PlanState],
     runtime: &mut ShardedRuntime,
     sub: &mut LiveSubstrate,
     now: SimTime,
     node: NodeId,
-    plan_down: &[bool],
 ) {
-    runtime.on_node_fault(sub, now, node);
-    if config.restart_nodes && !plan_down[node.index()] {
+    if plan[node.index()] != PlanState::Down {
+        return;
+    }
+    if runtime.is_node_down(node) {
+        plan[node.index()] = PlanState::Up;
         sub.respawn(node.index());
         runtime.on_node_recover(now, node);
+    } else {
+        plan[node.index()] = PlanState::RespawnPending;
     }
 }
 
@@ -639,7 +615,7 @@ fn plan_fault(
     sub: &mut LiveSubstrate,
     now: SimTime,
     kind: FaultKind,
-    plan_down: &mut [bool],
+    plan: &mut [PlanState],
 ) {
     if config.probe.enabled() {
         let (injected, target, param) = kind.injected();
@@ -651,19 +627,8 @@ fn plan_fault(
         });
     }
     match kind {
-        FaultKind::NodeCrash(node) => {
-            // Mark before killing: the worker's Stopped report routes
-            // through node_fault, which must not auto-respawn it.
-            plan_down[node.index()] = true;
-            sub.kill(node.index());
-        }
-        FaultKind::NodeRespawn(node) => {
-            if plan_down[node.index()] {
-                plan_down[node.index()] = false;
-                sub.respawn(node.index());
-                runtime.on_node_recover(now, node);
-            }
-        }
+        FaultKind::NodeCrash(node) => plan_crash(plan, sub, node),
+        FaultKind::NodeRespawn(node) => plan_respawn(plan, runtime, sub, now, node),
         FaultKind::NodeDegrade { node, factor_pm } => {
             let _ = sub.txs[node.index()].send(ToNode::Degrade(factor_pm));
         }
@@ -672,18 +637,12 @@ fn plan_fault(
         }
         FaultKind::LeafOutage { base, count } => {
             for k in 0..count {
-                plan_down[(base.0 + k) as usize] = true;
-                sub.kill((base.0 + k) as usize);
+                plan_crash(plan, sub, NodeId(base.0 + k));
             }
         }
         FaultKind::LeafRecover { base, count } => {
             for k in 0..count {
-                let node = NodeId(base.0 + k);
-                if plan_down[node.index()] {
-                    plan_down[node.index()] = false;
-                    sub.respawn(node.index());
-                    runtime.on_node_recover(now, node);
-                }
+                plan_respawn(plan, runtime, sub, now, NodeId(base.0 + k));
             }
         }
         FaultKind::ShardCrash(shard) => {
@@ -704,7 +663,6 @@ fn handle_task_done(
     done: TaskDone,
     runtime: &mut ShardedRuntime,
     sub: &mut LiveSubstrate,
-    config: &ServiceConfig,
     now: SimTime,
 ) {
     let node = NodeId(done.node);
@@ -735,7 +693,7 @@ fn handle_task_done(
     let Some(job) = sub.pending.remove(&fin.job) else {
         return;
     };
-    let image = composite(job.layers, config.composite);
+    let image = composite(job.layers, CompositeAlgo::Auto);
     let _ = job.reply.send(RenderReply {
         correlation: job.correlation,
         outcome: RenderOutcome::Frame(FrameResult {

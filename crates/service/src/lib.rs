@@ -6,13 +6,15 @@
 //! client API — crossbeam channels standing in for MPI. Task placement and
 //! table correction are the shared `vizsched-runtime` head loop, the same
 //! Algorithm 1 implementation the simulator drives on a virtual clock.
+//! Faults are injected through [`ServiceConfig::fault_plan`], the same
+//! [`FaultPlan`] the simulator runs.
 //!
 //! The discrete-event simulator (`vizsched-sim`) answers "how do the
 //! policies compare at cluster scale"; this crate answers "does the whole
 //! pipeline actually render frames end-to-end".
 //!
-//! Overload control: [`ServiceConfig::queue_capacity`] bounds the request
-//! queue, and [`ServiceConfig::overload`] applies an
+//! Overload control: a bounded request queue (1024 deep) sits in front of
+//! the head loop, and [`ServiceConfig::overload`] applies an
 //! [`OverloadPolicy`] — in-flight caps, per-job deadlines, stale-frame
 //! coalescing, batch anti-starvation — inside the shared head runtime, so
 //! the live service and the simulator shed identically.

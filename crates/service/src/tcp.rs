@@ -29,9 +29,9 @@
 //! ## Client
 //!
 //! [`RemoteClient`] connects with builder-style [`ClientOptions`] —
-//! retry/backoff on `Overloaded`, a per-call deadline, and a cap on
-//! in-flight requests — mirroring the `ServiceConfig` idiom. The blocking
-//! entry point is [`RemoteClient::render_interactive_blocking`]; the
+//! retry with exponential backoff on `Overloaded`, and resubmission
+//! across a head restart — mirroring the `ServiceConfig` idiom. The
+//! blocking entry point is [`RemoteClient::render_interactive_blocking`]; the
 //! channel-returning [`RemoteClient::render_interactive`] remains for
 //! pipelined use. Dropping (or [`RemoteClient::close`]-ing) the client
 //! shuts the socket down and joins the reader thread; callers blocked on a
@@ -41,7 +41,7 @@ use crate::codec::Codec;
 use crate::protocol::{RenderOutcome, RenderReply, RenderRequest};
 use crate::wire::{WireFrame, WireMessage, WireRequest, WireResponse};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{unbounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use polling::{Events, Interest, Poller, Token, Waker};
 use std::collections::{HashMap, VecDeque};
@@ -548,43 +548,35 @@ impl EventLoop {
 /// and chain setters.
 ///
 /// ```
-/// use std::time::Duration;
 /// use vizsched_service::ClientOptions;
 ///
-/// let opts = ClientOptions::new()
-///     .retries(4)
-///     .backoff(Duration::from_millis(2), Duration::from_millis(200))
-///     .deadline(Duration::from_secs(5))
-///     .max_in_flight(32);
+/// let opts = ClientOptions::new().retries(4).retry_disconnects(true);
 /// # let _ = opts;
 /// ```
 #[derive(Clone, Debug)]
 pub struct ClientOptions {
     retries: u32,
-    backoff_initial: Duration,
-    backoff_max: Duration,
-    deadline: Option<Duration>,
-    max_in_flight: Option<usize>,
     retry_disconnects: bool,
 }
 
+/// First pause before resubmitting an `Overloaded` request; each retry
+/// doubles it up to [`BACKOFF_MAX`].
+const BACKOFF_INITIAL: Duration = Duration::from_millis(2);
+/// Ceiling of the exponential retry backoff.
+const BACKOFF_MAX: Duration = Duration::from_millis(200);
+
 impl ClientOptions {
-    /// Defaults: no retries, 2 ms → 200 ms exponential backoff when
-    /// retries are enabled, no deadline, unlimited in-flight requests,
-    /// no reconnect on a dropped connection.
+    /// Defaults: no retries, no reconnect on a dropped connection.
     pub fn new() -> ClientOptions {
         ClientOptions {
             retries: 0,
-            backoff_initial: Duration::from_millis(2),
-            backoff_max: Duration::from_millis(200),
-            deadline: None,
-            max_in_flight: None,
             retry_disconnects: false,
         }
     }
 
     /// Resubmit up to `retries` times when the service answers
-    /// `Overloaded` (blocking calls only).
+    /// `Overloaded` (blocking calls only), pausing 2 ms before the first
+    /// retry and doubling the pause up to 200 ms.
     pub fn retries(mut self, retries: u32) -> ClientOptions {
         self.retries = retries;
         self
@@ -600,29 +592,6 @@ impl ClientOptions {
     /// rather than risk rendering the frame twice.
     pub fn retry_disconnects(mut self, on: bool) -> ClientOptions {
         self.retry_disconnects = on;
-        self
-    }
-
-    /// Exponential backoff between retries: starts at `initial`, doubles
-    /// up to `max`.
-    pub fn backoff(mut self, initial: Duration, max: Duration) -> ClientOptions {
-        self.backoff_initial = initial;
-        self.backoff_max = max.max(initial);
-        self
-    }
-
-    /// Overall per-call deadline for blocking calls, spanning all retries;
-    /// exceeding it returns `TimedOut`.
-    pub fn deadline(mut self, deadline: Duration) -> ClientOptions {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Cap concurrently outstanding requests; a submit past the cap waits
-    /// for a response to free a slot.
-    pub fn max_in_flight(mut self, max: usize) -> ClientOptions {
-        assert!(max > 0, "in-flight cap must be nonzero");
-        self.max_in_flight = Some(max);
         self
     }
 }
@@ -648,9 +617,6 @@ pub struct RemoteClient {
     next_id: AtomicU64,
     pending: Arc<Mutex<HashMap<u64, Sender<WireResponse>>>>,
     reader: Mutex<Option<JoinHandle<()>>>,
-    /// In-flight permit channel (capacity = the cap): submit acquires by
-    /// pushing a token, the reader thread releases one per response.
-    permits: Option<(Sender<()>, Receiver<()>)>,
     options: ClientOptions,
     closed: Arc<AtomicBool>,
     /// The serving head's incarnation, from the connection's
@@ -669,7 +635,6 @@ fn spawn_reader(
     pending: Arc<Mutex<HashMap<u64, Sender<WireResponse>>>>,
     closed: Arc<AtomicBool>,
     epoch: Arc<AtomicU64>,
-    release: Option<Receiver<()>>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
         let mut codec = Codec::new();
@@ -680,22 +645,15 @@ fn spawn_reader(
                     if let Some(tx) = waiter {
                         let _ = tx.send(resp);
                     }
-                    if let Some(rx) = &release {
-                        let _ = rx.try_recv();
-                    }
                 }
                 WireMessage::Hello { epoch: e } => epoch.store(e, Ordering::Release),
                 WireMessage::Request(_) => {} // servers never send requests
             }
         }
-        // Socket closed: mark the client dead, free any submitter
-        // stuck on the in-flight cap, and wake every waiter by
+        // Socket closed: mark the client dead and wake every waiter by
         // dropping their senders — pending calls surface a connection
         // error instead of hanging.
         closed.store(true, Ordering::Release);
-        if let Some(rx) = &release {
-            while rx.try_recv().is_ok() {}
-        }
         pending.lock().clear();
     })
 }
@@ -719,15 +677,7 @@ impl RemoteClient {
             Arc::new(Mutex::new(HashMap::new()));
         let closed = Arc::new(AtomicBool::new(false));
         let epoch = Arc::new(AtomicU64::new(0));
-        let permits = options.max_in_flight.map(crossbeam::channel::bounded::<()>);
-        let release = permits.as_ref().map(|(_, rx)| rx.clone());
-        let reader = spawn_reader(
-            read_side,
-            pending.clone(),
-            closed.clone(),
-            epoch.clone(),
-            release,
-        );
+        let reader = spawn_reader(read_side, pending.clone(), closed.clone(), epoch.clone());
 
         Ok(RemoteClient {
             user,
@@ -739,7 +689,6 @@ impl RemoteClient {
             next_id: AtomicU64::new(1),
             pending,
             reader: Mutex::new(Some(reader)),
-            permits,
             options,
             closed,
             epoch,
@@ -776,7 +725,7 @@ impl RemoteClient {
             }
             if self.closed.load(Ordering::Acquire) {
                 // Tear down: the old reader exits on the shutdown, clearing
-                // pending waiters and draining stale in-flight permits.
+                // pending waiters.
                 let _ = io.stream.shutdown(Shutdown::Both);
                 if let Some(handle) = self.reader.lock().take() {
                     let _ = handle.join();
@@ -786,52 +735,17 @@ impl RemoteClient {
                 let read_side = stream.try_clone()?;
                 self.epoch.store(0, Ordering::Release);
                 self.closed.store(false, Ordering::Release);
-                let release = self.permits.as_ref().map(|(_, rx)| rx.clone());
                 *self.reader.lock() = Some(spawn_reader(
                     read_side,
                     self.pending.clone(),
                     self.closed.clone(),
                     self.epoch.clone(),
-                    release,
                 ));
                 io.stream = stream;
                 io.codec = Codec::new();
             }
         }
         Ok(self.wait_for_epoch())
-    }
-
-    /// Wait for an in-flight slot (when capped), checking for a dead
-    /// connection so a submitter never blocks on a socket that can no
-    /// longer answer.
-    fn acquire_permit(&self) -> io::Result<()> {
-        let Some((tx, _)) = &self.permits else {
-            return Ok(());
-        };
-        loop {
-            if self.closed.load(Ordering::Acquire) {
-                return Err(io::Error::new(
-                    io::ErrorKind::NotConnected,
-                    "connection closed",
-                ));
-            }
-            match tx.try_send(()) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Full(())) => std::thread::sleep(Duration::from_micros(200)),
-                Err(TrySendError::Disconnected(())) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::NotConnected,
-                        "connection closed",
-                    ));
-                }
-            }
-        }
-    }
-
-    fn release_permit(&self) {
-        if let Some((_, rx)) = &self.permits {
-            let _ = rx.try_recv();
-        }
     }
 
     fn submit_as(
@@ -847,7 +761,6 @@ impl RemoteClient {
                 "connection closed",
             ));
         }
-        self.acquire_permit()?;
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = unbounded();
         self.pending.lock().insert(request_id, tx);
@@ -863,7 +776,6 @@ impl RemoteClient {
         if let Err(e) = codec.write(stream, &WireMessage::Request(req)) {
             drop(io);
             self.pending.lock().remove(&request_id);
-            self.release_permit();
             return Err(e);
         }
         Ok(rx)
@@ -896,10 +808,9 @@ impl RemoteClient {
 
     /// Render one interactive frame and block for the terminal response,
     /// applying this client's [`ClientOptions`]: resubmit with exponential
-    /// backoff on `Overloaded` (up to the configured retries) and honor
-    /// the per-call deadline across all attempts. `Expired` verdicts are
-    /// returned as-is — retrying a superseded frame is pointless, a newer
-    /// one already rendered.
+    /// backoff on `Overloaded` (up to the configured retries). `Expired`
+    /// verdicts are returned as-is — retrying a superseded frame is
+    /// pointless, a newer one already rendered.
     pub fn render_interactive_blocking(
         &self,
         action: ActionId,
@@ -927,16 +838,13 @@ impl RemoteClient {
         frame: FrameParams,
         options: &ClientOptions,
     ) -> io::Result<WireResponse> {
-        let deadline = options.deadline.map(|d| Instant::now() + d);
-        let timed_out =
-            || io::Error::new(io::ErrorKind::TimedOut, "deadline passed before a response");
         let dropped = || {
             io::Error::new(
                 io::ErrorKind::ConnectionAborted,
                 "connection closed before a response arrived",
             )
         };
-        let mut backoff = options.backoff_initial;
+        let mut backoff = BACKOFF_INITIAL;
         let mut overloads_left = options.retries;
         let mut reconnects_left = if options.retry_disconnects {
             1 + options.retries
@@ -977,36 +885,18 @@ impl RemoteClient {
                     continue;
                 }
             };
-            let received: io::Result<WireResponse> = match deadline {
-                None => rx.recv().map_err(|_| dropped()),
-                Some(at) => match at.checked_duration_since(Instant::now()) {
-                    None => Err(timed_out()),
-                    Some(left) => rx.recv_timeout(left).map_err(|e| match e {
-                        RecvTimeoutError::Timeout => timed_out(),
-                        RecvTimeoutError::Disconnected => dropped(),
-                    }),
-                },
-            };
-            let response = match received {
+            let response = match rx.recv() {
                 Ok(response) => response,
-                Err(err) if err.kind() == io::ErrorKind::ConnectionAborted => {
-                    retry_disconnect(err, &mut reconnects_left)?;
+                Err(_) => {
+                    retry_disconnect(dropped(), &mut reconnects_left)?;
                     continue;
                 }
-                Err(err) => return Err(err),
             };
             match response {
                 WireResponse::Overloaded { .. } if overloads_left > 0 => {
                     overloads_left -= 1;
-                    let mut pause = backoff;
-                    if let Some(at) = deadline {
-                        let left = at
-                            .checked_duration_since(Instant::now())
-                            .ok_or_else(timed_out)?;
-                        pause = pause.min(left);
-                    }
-                    std::thread::sleep(pause);
-                    backoff = (backoff * 2).min(options.backoff_max);
+                    std::thread::sleep(backoff);
+                    backoff = (backoff * 2).min(BACKOFF_MAX);
                 }
                 other => return Ok(other),
             }

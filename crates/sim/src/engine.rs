@@ -18,9 +18,9 @@
 //!
 //! All head-node logic lives in `vizsched-runtime`; this module only
 //! implements the event-driven [`Substrate`]: the virtual clock, the node
-//! model, and the event queue. Fault injection (node crash/recovery)
-//! exercises the §VI-D claim that rendering continues as long as replicas
-//! or reloads are possible.
+//! model, and the event queue. A run's [`FaultPlan`] (node crash/respawn,
+//! slow nodes, leaf outages, shard-head loss) exercises the §VI-D claim
+//! that rendering continues as long as replicas or reloads are possible.
 
 use crate::event::{EventKind, EventQueue};
 use crate::node::SimNode;
@@ -39,17 +39,6 @@ use vizsched_runtime::{
     ShardedRuntime, Substrate,
 };
 
-/// A fault-injection event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Fault {
-    /// When it happens.
-    pub time: SimTime,
-    /// The affected node.
-    pub node: NodeId,
-    /// True for a crash, false for a recovery.
-    pub crash: bool,
-}
-
 /// Static configuration of one simulation.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -63,13 +52,6 @@ pub struct SimConfig {
     pub cycle: SimDuration,
     /// Cache eviction policy on every node (LRU in the paper).
     pub eviction: EvictionPolicy,
-    /// Fault injections, if any.
-    pub faults: Vec<Fault>,
-    /// Seedable fault schedule covering the full taxonomy (crash,
-    /// respawn, degrade, restore, leaf outage, shard-head crash).
-    /// Executed alongside (and identically to) the live service's plan
-    /// execution, so a chaos run replays bit-identically in the sim.
-    pub fault_plan: Option<FaultPlan>,
     /// Amplitude of the deterministic per-task execution-time perturbation
     /// (0.0 = exact cost model; the scenario experiments use 0.05 to model
     /// real render/disk variance).
@@ -98,7 +80,8 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// A configuration with no faults and no tracing.
+    /// A configuration with the paper's defaults: 30 ms cycle, LRU, no
+    /// jitter, cold caches.
     pub fn new(cluster: ClusterSpec, cost: CostParams, chunk_max: u64) -> Self {
         SimConfig {
             cluster,
@@ -106,8 +89,6 @@ impl SimConfig {
             chunk_max,
             cycle: SimDuration::from_millis(30),
             eviction: EvictionPolicy::Lru,
-            faults: Vec::new(),
-            fault_plan: None,
             exec_jitter: 0.0,
             warm_start: false,
             gpu_quota: None,
@@ -175,21 +156,6 @@ impl Simulation {
     /// pre-seeding.
     pub fn run_opts(&self, jobs: Vec<Job>, opts: RunOptions) -> SimOutcome {
         let mut config = self.config.clone();
-        if let Some(cost) = opts.cost {
-            config.cost = cost;
-        }
-        if let Some(cycle) = opts.cycle {
-            config.cycle = cycle;
-        }
-        if let Some(eviction) = opts.eviction {
-            config.eviction = eviction;
-        }
-        if let Some(faults) = opts.faults {
-            config.faults = faults;
-        }
-        if let Some(plan) = opts.fault_plan {
-            config.fault_plan = Some(plan);
-        }
         if let Some(jitter) = opts.exec_jitter {
             config.exec_jitter = jitter;
         }
@@ -230,7 +196,7 @@ impl Simulation {
         for (chunk, estimate) in opts.initial_estimates {
             engine.runtime.seed_estimate(chunk, estimate);
         }
-        engine.run(jobs)
+        engine.run(jobs, opts.fault_plan)
     }
 }
 
@@ -405,11 +371,11 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(mut self, jobs: Vec<Job>) -> SimOutcome {
+    fn run(mut self, jobs: Vec<Job>, plan: Option<FaultPlan>) -> SimOutcome {
         if self.sub.config.warm_start {
             self.warm_start();
         }
-        // Seed the event queue with arrivals and faults.
+        // Seed the event queue with arrivals and the fault plan.
         let mut last = SimTime::ZERO;
         for job in jobs {
             assert!(job.issue_time >= last, "jobs must be sorted by issue time");
@@ -418,15 +384,7 @@ impl<'a> Engine<'a> {
                 .events
                 .push(job.issue_time, EventKind::Arrival(job));
         }
-        for fault in &self.sub.config.faults {
-            let kind = if fault.crash {
-                EventKind::NodeCrash(fault.node)
-            } else {
-                EventKind::NodeRecover(fault.node)
-            };
-            self.sub.events.push(fault.time, kind);
-        }
-        if let Some(plan) = &self.sub.config.fault_plan {
+        if let Some(plan) = &plan {
             for event in plan.events() {
                 self.sub
                     .events
@@ -440,8 +398,6 @@ impl<'a> Engine<'a> {
                 EventKind::Arrival(job) => self.on_arrival(job),
                 EventKind::Tick => self.on_tick(),
                 EventKind::TaskDone { node, generation } => self.on_task_done(node, generation),
-                EventKind::NodeCrash(node) => self.on_crash(node),
-                EventKind::NodeRecover(node) => self.on_recover(node),
                 EventKind::PlanFault(kind) => self.on_plan_fault(kind),
             }
         }

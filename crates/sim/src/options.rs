@@ -4,9 +4,9 @@
 //! [`SimConfig`](crate::SimConfig) describes the *substrate* — cluster,
 //! cost model, decomposition. [`RunOptions`] describes one *run* over that
 //! substrate: which policy, under what label, observed by which probe,
-//! with optional per-run overrides (cycle, eviction, fault plan, jitter,
-//! seed) and an `Estimate[c]` pre-seed for prediction-feedback
-//! experiments.
+//! with optional per-run settings (fault plan, jitter, warm start, seed,
+//! catalog, overload policy, shards) and an `Estimate[c]` pre-seed for
+//! prediction-feedback experiments.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -23,14 +23,11 @@
 //! assert_eq!(opts.label_str(), "traced");
 //! ```
 
-use crate::engine::Fault;
 use std::sync::Arc;
-use vizsched_core::cost::CostParams;
 use vizsched_core::data::Catalog;
 use vizsched_core::ids::ChunkId;
-use vizsched_core::memory::EvictionPolicy;
 use vizsched_core::sched::{Scheduler, SchedulerKind};
-use vizsched_core::time::{SimDuration, SimTime};
+use vizsched_core::time::SimDuration;
 use vizsched_metrics::{NoopProbe, Probe};
 use vizsched_runtime::{FaultPlan, OverloadPolicy};
 
@@ -59,10 +56,6 @@ pub struct RunOptions {
     pub(crate) scheduler: SchedulerChoice,
     pub(crate) label: String,
     pub(crate) probe: Arc<dyn Probe>,
-    pub(crate) cost: Option<CostParams>,
-    pub(crate) cycle: Option<SimDuration>,
-    pub(crate) eviction: Option<EvictionPolicy>,
-    pub(crate) faults: Option<Vec<Fault>>,
     pub(crate) fault_plan: Option<FaultPlan>,
     pub(crate) exec_jitter: Option<f64>,
     pub(crate) warm_start: Option<bool>,
@@ -79,10 +72,6 @@ impl std::fmt::Debug for RunOptions {
             .field("scheduler", &self.scheduler)
             .field("label", &self.label)
             .field("probe_enabled", &self.probe.enabled())
-            .field("cost", &self.cost)
-            .field("cycle", &self.cycle)
-            .field("eviction", &self.eviction)
-            .field("faults", &self.faults)
             .field("fault_plan", &self.fault_plan)
             .field("exec_jitter", &self.exec_jitter)
             .field("warm_start", &self.warm_start)
@@ -112,10 +101,6 @@ impl RunOptions {
             scheduler,
             label: String::new(),
             probe: Arc::new(NoopProbe),
-            cost: None,
-            cycle: None,
-            eviction: None,
-            faults: None,
             fault_plan: None,
             exec_jitter: None,
             warm_start: None,
@@ -141,35 +126,11 @@ impl RunOptions {
         self
     }
 
-    /// Override the cost-model constants for this run.
-    pub fn cost(mut self, cost: CostParams) -> Self {
-        self.cost = Some(cost);
-        self
-    }
-
-    /// Override the scheduling cycle `ω` for this run.
-    pub fn cycle(mut self, cycle: SimDuration) -> Self {
-        self.cycle = Some(cycle);
-        self
-    }
-
-    /// Override the per-node eviction policy for this run.
-    pub fn eviction(mut self, eviction: EvictionPolicy) -> Self {
-        self.eviction = Some(eviction);
-        self
-    }
-
-    /// Replace the fault-injection plan for this run.
-    pub fn faults(mut self, faults: Vec<Fault>) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
     /// Install a seedable [`FaultPlan`] covering the full taxonomy —
     /// node crash/respawn, slow-node degrade/restore, correlated leaf
-    /// outage, shard-head crash. The live service executes the same plan
-    /// with the same semantics, so any chaos run replays bit-identically
-    /// in the sim.
+    /// outage, shard-head crash. This is the simulator's only fault
+    /// injector. The live service executes the same plan with the same
+    /// semantics, so any chaos run replays bit-identically in the sim.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -193,14 +154,6 @@ impl RunOptions {
     /// noise realizations. Runs with equal seeds are bit-identical.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
-        self
-    }
-
-    /// Pre-seed `Estimate[c]` for one chunk — the paper's "test run"
-    /// initialization, or a deliberately wrong prior for
-    /// prediction-feedback experiments.
-    pub fn initial_estimate(mut self, chunk: ChunkId, estimate: SimDuration) -> Self {
-        self.initial_estimates.push((chunk, estimate));
         self
     }
 
@@ -233,7 +186,9 @@ impl RunOptions {
         self
     }
 
-    /// Pre-seed `Estimate[c]` for many chunks at once.
+    /// Pre-seed `Estimate[c]` for chunks — the paper's "test run"
+    /// initialization, or a deliberately wrong prior for
+    /// prediction-feedback experiments.
     pub fn initial_estimates(
         mut self,
         estimates: impl IntoIterator<Item = (ChunkId, SimDuration)>,
@@ -248,49 +203,25 @@ impl RunOptions {
     }
 }
 
-/// Convenience: fault plan entries without struct-literal noise.
-impl Fault {
-    /// A crash of `node` at `time`.
-    pub fn crash_at(time: SimTime, node: vizsched_core::ids::NodeId) -> Fault {
-        Fault {
-            time,
-            node,
-            crash: true,
-        }
-    }
-
-    /// A recovery of `node` at `time`.
-    pub fn recover_at(time: SimTime, node: vizsched_core::ids::NodeId) -> Fault {
-        Fault {
-            time,
-            node,
-            crash: false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vizsched_core::ids::{DatasetId, NodeId};
+    use vizsched_core::time::SimTime;
 
     #[test]
     fn builder_accumulates_overrides() {
         let opts = RunOptions::new(SchedulerKind::Fs)
             .label("x")
-            .cycle(SimDuration::from_millis(10))
-            .eviction(EvictionPolicy::Lru)
             .exec_jitter(0.1)
             .warm_start(true)
             .seed(7)
-            .cost(CostParams::default())
-            .faults(vec![Fault::crash_at(SimTime::from_secs(1), NodeId(0))])
-            .initial_estimate(ChunkId::new(DatasetId(0), 0), SimDuration::from_millis(5));
+            .fault_plan(FaultPlan::new().crash_at(SimTime::from_secs(1), NodeId(0)))
+            .initial_estimates([(ChunkId::new(DatasetId(0), 0), SimDuration::from_millis(5))]);
         assert_eq!(opts.label_str(), "x");
-        assert_eq!(opts.cycle, Some(SimDuration::from_millis(10)));
         assert_eq!(opts.seed, Some(7));
         assert_eq!(opts.initial_estimates.len(), 1);
-        assert_eq!(opts.faults.as_ref().map(Vec::len), Some(1));
+        assert_eq!(opts.fault_plan.as_ref().map(FaultPlan::len), Some(1));
         // Debug is implemented by hand (trait objects aren't Debug).
         let dbg = format!("{opts:?}");
         assert!(dbg.contains("Kind(Fs)"), "{dbg}");

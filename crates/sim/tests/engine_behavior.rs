@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use vizsched_core::prelude::*;
 use vizsched_metrics::{CollectingProbe, TraceEvent};
-use vizsched_sim::{Fault, RunOptions, SimConfig, Simulation};
+use vizsched_sim::{FaultPlan, RunOptions, SimConfig, Simulation};
 
 const GIB: u64 = 1 << 30;
 const MIB: u64 = 1 << 20;
@@ -160,26 +160,22 @@ fn ours_defers_batch_but_drains_it() {
 fn crash_mid_run_still_completes_jobs() {
     let cluster = ClusterSpec::homogeneous(4, 2 * GIB);
     let cost = CostParams::default();
-    let mut config = SimConfig::new(cluster, cost, 512 * MIB);
+    let config = SimConfig::new(cluster, cost, 512 * MIB);
     // Crash node 1 while the first job's cold loads are in flight; recover
     // much later.
-    config.faults = vec![
-        Fault {
-            time: SimTime::from_millis(500),
-            node: NodeId(1),
-            crash: true,
-        },
-        Fault {
-            time: SimTime::from_secs(60),
-            node: NodeId(1),
-            crash: false,
-        },
-    ];
+    let plan = FaultPlan::new()
+        .crash_at(SimTime::from_millis(500), NodeId(1))
+        .respawn_at(SimTime::from_secs(60), NodeId(1));
     let sim = Simulation::new(config, uniform_datasets(2, 2 * GIB));
     let jobs: Vec<Job> = (0..20)
         .map(|i| interactive(i, 0, 0, SimTime::from_millis(30 * i)))
         .collect();
-    let outcome = sim.run_opts(jobs, RunOptions::new(SchedulerKind::Ours).label("crash"));
+    let outcome = sim.run_opts(
+        jobs,
+        RunOptions::new(SchedulerKind::Ours)
+            .label("crash")
+            .fault_plan(plan),
+    );
     assert_eq!(
         outcome.incomplete_jobs, 0,
         "work lost in the crash must be re-placed"

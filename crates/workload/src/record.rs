@@ -303,7 +303,9 @@ impl ScenarioRecord {
 
     /// Parse a JSONL record. Total: every failure — bad JSON, an unknown
     /// line kind, a missing field, a version or fingerprint mismatch,
-    /// time going backwards, a duplicate job id — comes back as a
+    /// time going backwards, a duplicate job id, a 32-bit field out of
+    /// range, a dataset or fault target outside the header, a degrade
+    /// factor below 1000 per mille — comes back as a
     /// [`RecordError`] carrying the 1-based line number. Unknown *keys*
     /// inside a known line kind are ignored (the forward-compatibility
     /// rule of `docs/SCENARIO_FORMAT.md`).
@@ -340,11 +342,11 @@ impl ScenarioRecord {
             last_us = at;
             match tag.as_str() {
                 "session" => {
-                    let l = parse_session(&val, at).map_err(|m| err(no, &m))?;
+                    let l = parse_session(&val, at, &record.header).map_err(|m| err(no, &m))?;
                     record.sessions.push(l);
                 }
                 "request" => {
-                    let job = parse_request(&val, at).map_err(|m| err(no, &m))?;
+                    let job = parse_request(&val, at, &record.header).map_err(|m| err(no, &m))?;
                     if let Some(prev) = last_job {
                         if job.id.0 <= prev {
                             return Err(err(
@@ -357,7 +359,7 @@ impl ScenarioRecord {
                     record.requests.push(job);
                 }
                 "fault" => {
-                    let l = parse_fault(&val, at).map_err(|m| err(no, &m))?;
+                    let l = parse_fault(&val, at, &record.header).map_err(|m| err(no, &m))?;
                     record.faults.push(l);
                 }
                 "header" => {
@@ -565,7 +567,7 @@ fn parse_header(val: &json::Val) -> Result<RecordHeader, String> {
     if tag != "header" {
         return Err(format!("expected a header line first, got {tag:?}"));
     }
-    let version = val.u64_field("v")? as u32;
+    let version = val.u32_field("v")?;
     if version != RECORD_VERSION {
         return Err(format!(
             "unsupported record version {version} (this build reads v{RECORD_VERSION})"
@@ -594,7 +596,7 @@ fn parse_header(val: &json::Val) -> Result<RecordHeader, String> {
     let mut datasets = Vec::new();
     let mut chunks = Vec::new();
     for (i, d) in val.field("datasets")?.elements()?.iter().enumerate() {
-        let id = d.u64_field("id")? as u32;
+        let id = d.u32_field("id")?;
         if id as usize != i {
             return Err(format!(
                 "dataset ids must be dense: got {id} at position {i}"
@@ -656,10 +658,26 @@ fn parse_header(val: &json::Val) -> Result<RecordHeader, String> {
     Ok(header)
 }
 
-fn parse_session(val: &json::Val, at_us: u64) -> Result<SessionLine, String> {
+/// A `dataset` field naming one of the header's datasets.
+fn dataset_field(val: &json::Val, header: &RecordHeader) -> Result<DatasetId, String> {
+    let id = val.u32_field("dataset")?;
+    if id as usize >= header.datasets.len() {
+        return Err(format!(
+            "dataset {id} is not in the header (it has {} datasets)",
+            header.datasets.len()
+        ));
+    }
+    Ok(DatasetId(id))
+}
+
+fn parse_session(
+    val: &json::Val,
+    at_us: u64,
+    header: &RecordHeader,
+) -> Result<SessionLine, String> {
     let at = SimTime::from_micros(at_us);
-    let user = UserId(val.u64_field("user")? as u32);
-    let dataset = DatasetId(val.u64_field("dataset")? as u32);
+    let user = UserId(val.u32_field("user")?);
+    let dataset = dataset_field(val, header)?;
     let kind = match val.str_field("kind")?.as_str() {
         "interactive" => SessionKind::Interactive {
             action: ActionId(val.u64_field("action")?),
@@ -677,8 +695,8 @@ fn parse_session(val: &json::Val, at_us: u64) -> Result<SessionLine, String> {
     })
 }
 
-fn parse_request(val: &json::Val, at_us: u64) -> Result<Job, String> {
-    let user = UserId(val.u64_field("user")? as u32);
+fn parse_request(val: &json::Val, at_us: u64, header: &RecordHeader) -> Result<Job, String> {
+    let user = UserId(val.u32_field("user")?);
     let kind = match val.str_field("kind")?.as_str() {
         "interactive" => JobKind::Interactive {
             user,
@@ -687,25 +705,25 @@ fn parse_request(val: &json::Val, at_us: u64) -> Result<Job, String> {
         "batch" => JobKind::Batch {
             user,
             request: BatchId(val.u64_field("request")?),
-            frame: val.u64_field("frame")? as u32,
+            frame: val.u32_field("frame")?,
         },
         other => return Err(format!("unknown request kind {other:?}")),
     };
     Ok(Job {
         id: JobId(val.u64_field("job")?),
         kind,
-        dataset: DatasetId(val.u64_field("dataset")? as u32),
+        dataset: dataset_field(val, header)?,
         issue_time: SimTime::from_micros(at_us),
         frame: FrameParams {
             azimuth: val.f32_field("azimuth")?,
             elevation: val.f32_field("elevation")?,
             distance: val.f32_field("distance")?,
-            transfer_fn: val.u64_field("transfer_fn")? as u32,
+            transfer_fn: val.u32_field("transfer_fn")?,
         },
     })
 }
 
-fn parse_fault(val: &json::Val, at_us: u64) -> Result<FaultLine, String> {
+fn parse_fault(val: &json::Val, at_us: u64, header: &RecordHeader) -> Result<FaultLine, String> {
     let name = val.str_field("kind")?;
     let kind = [
         InjectedFault::NodeCrash,
@@ -719,11 +737,35 @@ fn parse_fault(val: &json::Val, at_us: u64) -> Result<FaultLine, String> {
     .into_iter()
     .find(|k| k.as_str() == name)
     .ok_or_else(|| format!("unknown fault kind {name:?}"))?;
+    let target = val.u32_field("target")?;
+    let param = val.u32_field("param")?;
+    // Node-level faults must stay inside the recorded cluster. Shard ids
+    // are not checked: a record carries no shard count.
+    let nodes = header.cluster.len() as u64;
+    let last = match kind {
+        InjectedFault::LeafOutage | InjectedFault::LeafRecover => {
+            (target as u64 + param as u64).checked_sub(1)
+        }
+        InjectedFault::ShardCrash => None,
+        _ => Some(target as u64),
+    };
+    if let Some(last) = last.filter(|&n| n >= nodes) {
+        return Err(format!(
+            "{name} reaches node {last}, outside the header's {nodes}-node cluster"
+        ));
+    }
+    // The sim applies a degrade factor raw while the live service clamps
+    // it to 1000, so a smaller one would break sim/live parity.
+    if kind == InjectedFault::NodeDegrade && param < 1000 {
+        return Err(format!(
+            "node_degrade factor {param} is below 1000 per mille"
+        ));
+    }
     Ok(FaultLine {
         at: SimTime::from_micros(at_us),
         kind,
-        target: val.u64_field("target")? as u32,
-        param: val.u64_field("param")? as u32,
+        target,
+        param,
     })
 }
 
@@ -890,6 +932,12 @@ mod json {
             self.field(key)?
                 .num::<u64>()
                 .map_err(|_| format!("field {key:?} must be an unsigned integer"))
+        }
+
+        /// A required unsigned-integer field that fits in 32 bits.
+        pub fn u32_field(&self, key: &str) -> Result<u32, String> {
+            let v = self.u64_field(key)?;
+            u32::try_from(v).map_err(|_| format!("field {key:?} = {v} exceeds u32::MAX"))
         }
 
         /// A required f64 field.

@@ -412,6 +412,54 @@ fn operators_guide_names_every_traffic_shape() {
     }
 }
 
+/// The operator's guide calls `ServiceConfig` "the one knob surface" and
+/// lists its setters in that paragraph. The list must be exact both
+/// ways: every `pub fn` of `impl ServiceConfig` appears as a `` `name(` ``
+/// code span, and every such span names a setter.
+#[test]
+fn operators_guide_lists_every_service_config_setter() {
+    let head = read("crates/service/src/head.rs");
+    let start = head
+        .find("\nimpl ServiceConfig {")
+        .expect("head.rs has an impl ServiceConfig block");
+    let body = &head[start..];
+    let body = &body[..body.find("\n}\n").expect("impl block closes")];
+    let setters: Vec<&str> = body
+        .split("pub fn ")
+        .skip(1)
+        .filter_map(|rest| rest.split_once('(').map(|(name, _)| name))
+        .collect();
+    assert!(
+        !setters.is_empty(),
+        "no setters found in impl ServiceConfig"
+    );
+
+    let guide = read("docs/OPERATORS_GUIDE.md");
+    let anchor = "`ServiceConfig` is the one knob surface";
+    let start = guide
+        .find(anchor)
+        .expect("docs/OPERATORS_GUIDE.md has the knob-surface paragraph");
+    let paragraph = &guide[start..];
+    let paragraph = &paragraph[..paragraph.find("\n\n").unwrap_or(paragraph.len())];
+    let named: Vec<&str> = code_spans(paragraph)
+        .into_iter()
+        .filter_map(|span| span.split_once('(').map(|(name, _)| name))
+        .filter(|name| {
+            !name.is_empty() && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+        })
+        .collect();
+    let undocumented: Vec<&&str> = setters.iter().filter(|s| !named.contains(s)).collect();
+    let unknown: Vec<&&str> = named.iter().filter(|n| !setters.contains(n)).collect();
+    assert!(
+        undocumented.is_empty(),
+        "docs/OPERATORS_GUIDE.md knob list misses ServiceConfig setters: {undocumented:?}"
+    );
+    assert!(
+        unknown.is_empty(),
+        "docs/OPERATORS_GUIDE.md knob list names non-setters: {unknown:?}"
+    );
+}
+
 /// The README is the entry point; it must link every guide under docs/.
 #[test]
 fn readme_links_the_guides() {

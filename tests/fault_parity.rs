@@ -14,8 +14,8 @@
 //! cold spreads resolve by index tie-breaks, warm chunks map to their
 //! unique holder.
 //!
-//! The file also holds the respawn-under-sharding check: a node killed
-//! out of a shard's slice (with `restart_nodes` on) rejoins *its own*
+//! The file also holds the respawn-under-sharding check: a node the plan
+//! crashes out of a shard's slice and later respawns rejoins *its own*
 //! shard and serves cache-local work again.
 
 use std::sync::Arc;
@@ -330,7 +330,7 @@ fn fcfsl_replays_an_identical_fault_plan_identically() {
     assert_fault_parity(SchedulerKind::Fcfsl);
 }
 
-/// `restart_nodes` under `shards(n)`: a node killed out of a shard's
+/// A planned respawn under `shards(n)`: a node crashed out of a shard's
 /// slice respawns, rejoins *its owning shard*, and serves cache-local
 /// work for that shard's datasets again.
 ///
@@ -359,14 +359,19 @@ fn respawned_node_rejoins_its_shard_slice() {
         })
         .collect();
     let mut store = ChunkStore::create(&root, &datasets).unwrap();
-    store.set_throttle(Some(256 << 10)); // slow loads: the kill lands mid-burst
+    store.set_throttle(Some(256 << 10)); // slow loads: the crash lands mid-burst
     let probe = Arc::new(CollectingProbe::new());
+    let started = Instant::now();
     let config = ServiceConfig::default()
         .nodes(NODES)
         .shards(SHARDS)
         .mem_quota(MEM_QUOTA)
         .image_size(32, 32)
-        .restart_nodes(true)
+        .fault_plan(
+            FaultPlan::new()
+                .crash_at(SimTime::from_millis(40), NodeId(2))
+                .respawn_at(SimTime::from_millis(200), NodeId(2)),
+        )
         .probe(probe.clone());
     let service = VizService::start(config, Arc::new(store));
     let client = ServiceClient::new(UserId(0), service.request_sender());
@@ -379,18 +384,18 @@ fn respawned_node_rejoins_its_shard_slice() {
         .collect();
 
     // Round 1: a burst over datasets 0..4 (the ring feeds both shards),
-    // with node 2 — shard 1's slice — killed while loads grind.
+    // with node 2 — shard 1's slice — crashed at 40 ms while loads grind.
     let round1: Vec<_> = (0..4u32)
         .map(|d| client.render_batch(BatchId(d as u64), DatasetId(d), &frames))
         .collect();
-    std::thread::sleep(Duration::from_millis(40));
-    service.kill_node(2);
     for rx in &round1 {
         for _ in 0..frames.len() {
             rx.recv_timeout(Duration::from_secs(60))
-                .expect("every round-1 frame survives the kill");
+                .expect("every round-1 frame survives the crash");
         }
     }
+    // The planned respawn fires at 200 ms; give it a cycle to land.
+    std::thread::sleep(Duration::from_millis(250).saturating_sub(started.elapsed()));
 
     // Rounds 2 and 3, after the respawn, over the fresh datasets 4..8: a
     // cold round that must spread one chunk per slice node — including
@@ -416,11 +421,11 @@ fn respawned_node_rejoins_its_shard_slice() {
     let fault_pos = events
         .iter()
         .position(|e| matches!(e, TraceEvent::NodeFault { node, .. } if node.0 == 2))
-        .expect("the kill is observed");
+        .expect("the crash is observed");
     let up_pos = events
         .iter()
         .position(|e| matches!(e, TraceEvent::NodeUp { node, .. } if node.0 == 2))
-        .expect("restart_nodes respawns the node");
+        .expect("the planned respawn brings the node back");
     assert!(fault_pos < up_pos, "fault precedes the respawn");
 
     // The respawned node serves work again...

@@ -14,7 +14,7 @@ use vizsched_core::data::{uniform_datasets, Catalog, DecompositionPolicy};
 use vizsched_core::prelude::*;
 use vizsched_metrics::{events_to_jsonl, CollectingProbe, TraceEvent};
 use vizsched_service::{ChunkStore, ServiceClient, ServiceConfig, StoreDataset, VizService};
-use vizsched_sim::{RunOptions, SimConfig, Simulation};
+use vizsched_sim::{FaultKind, FaultPlan, RunOptions, SimConfig, Simulation};
 use vizsched_volume::Field;
 use vizsched_workload::{
     CameraPathSpec, RecordHeader, RecordingProbe, Scenario, ScenarioRecord, TrafficShape,
@@ -206,6 +206,70 @@ fn sim_run_recorded_then_replayed_is_bit_identical() {
 }
 
 // -------------------------------------------------------------------
+// Recorded faults replay through a rebuilt FaultPlan.
+// -------------------------------------------------------------------
+
+fn injected(events: &[TraceEvent]) -> Vec<String> {
+    events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::FaultInjected { .. }))
+        .map(|e| events_to_jsonl(std::slice::from_ref(e)))
+        .collect()
+}
+
+/// The plan a record's `fault` lines describe.
+fn plan_of(record: &ScenarioRecord) -> FaultPlan {
+    record.faults.iter().fold(FaultPlan::new(), |plan, f| {
+        plan.with(f.at, FaultKind::from_injected(f.kind, f.target, f.param))
+    })
+}
+
+#[test]
+fn recorded_faults_replay_through_a_rebuilt_plan() {
+    let jobs = small_shape().generate();
+    let plan = FaultPlan::new()
+        .degrade_at(SimTime::from_millis(200), NodeId(2), 3000)
+        .crash_at(SimTime::from_millis(300), NodeId(1))
+        .respawn_at(SimTime::from_millis(900), NodeId(1))
+        .restore_at(SimTime::from_millis(1_200), NodeId(2));
+    let recorder = Arc::new(RecordingProbe::new(small_header("OURS")));
+    let outcome = small_sim().run_opts(
+        jobs,
+        RunOptions::new(SchedulerKind::Ours)
+            .catalog(small_catalog())
+            .fault_plan(plan.clone())
+            .probe(recorder.clone()),
+    );
+    assert_eq!(outcome.incomplete_jobs, 0);
+    let original = recorder.events();
+    let parsed = ScenarioRecord::parse(&recorder.finish().to_jsonl()).expect("record parses");
+    assert_eq!(parsed.faults.len(), 4, "every planned fault is recorded");
+    assert_eq!(plan_of(&parsed), plan, "fault lines rebuild the plan");
+
+    let replay = |plan: FaultPlan| {
+        let scenario = Scenario::from_record(&parsed);
+        let probe = Arc::new(CollectingProbe::new());
+        let opts = RunOptions::new(SchedulerKind::Ours)
+            .catalog(scenario.catalog())
+            .fault_plan(plan)
+            .probe(probe.clone());
+        let outcome = small_sim().run_opts(scenario.jobs(), opts);
+        assert_eq!(outcome.incomplete_jobs, 0);
+        probe.take()
+    };
+    let with_plan = replay(plan_of(&parsed));
+    assert_eq!(assignments(&with_plan), assignments(&original));
+    assert_eq!(injected(&with_plan), injected(&original));
+    let without = replay(FaultPlan::new());
+    assert_ne!(
+        assignments(&without),
+        assignments(&original),
+        "the faults must matter, or this test proves nothing"
+    );
+    assert!(injected(&without).is_empty());
+}
+
+// -------------------------------------------------------------------
 // Record on the live service -> replay in the sim.
 // -------------------------------------------------------------------
 
@@ -334,12 +398,28 @@ fn live_recording_replays_in_sim_with_identical_placements() {
 
 #[test]
 fn every_traffic_shape_records_byte_identically_per_seed() {
+    // The demo suite spreads over 8 datasets; the header must list them
+    // all, or the parser rejects the requests that name the others.
+    let header = RecordHeader::new(
+        "demo-suite",
+        2012,
+        "OURS",
+        CYCLE,
+        CostParams::default(),
+        ClusterSpec::homogeneous(NODES, 128 << 20),
+        &Catalog::new(
+            uniform_datasets(8, 64 << 20),
+            DecompositionPolicy::MaxChunkSize {
+                max_bytes: 16 << 20,
+            },
+        ),
+    );
     for (a, b) in TrafficShape::demo_suite(2012)
         .into_iter()
         .zip(TrafficShape::demo_suite(2012))
     {
-        let left = a.to_record(small_header("OURS")).to_jsonl();
-        let right = b.to_record(small_header("OURS")).to_jsonl();
+        let left = a.to_record(header.clone()).to_jsonl();
+        let right = b.to_record(header.clone()).to_jsonl();
         assert_eq!(
             left,
             right,
@@ -388,5 +468,81 @@ fn garbage_and_empty_inputs_fail_gracefully() {
     ] {
         let err = ScenarioRecord::parse(input).expect_err("must not parse");
         assert_eq!(err.line, want_line, "input {input:?}");
+    }
+}
+
+/// Values a replay cannot honour fail at parse time, on their own line,
+/// instead of truncating to 32 bits or panicking the replay later.
+#[test]
+fn out_of_range_fields_fail_with_their_line() {
+    let jsonl = small_shape().to_record(small_header("OURS")).to_jsonl();
+    let lines: Vec<&str> = jsonl.lines().collect();
+    let session = 1 + lines
+        .iter()
+        .position(|l| l.contains("\"t\":\"session\""))
+        .unwrap();
+    let request = 1 + lines
+        .iter()
+        .position(|l| l.contains("\"t\":\"request\""))
+        .unwrap();
+    let fault_line = lines.len() + 1;
+    let fault = |kind: &str, target: u64, param: u64| {
+        format!(
+            "{{\"t\":\"fault\",\"at_us\":999999999,\"kind\":\"{kind}\",\"target\":{target},\"param\":{param}}}"
+        )
+    };
+    // Replace one field's value on one line of the record.
+    let edit = |line: usize, field: &str, value: &str| {
+        let mut out: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        let l = &mut out[line - 1];
+        let start = l.find(&format!("\"{field}\":")).expect("field present") + field.len() + 3;
+        let end = start + l[start..].find([',', '}']).unwrap();
+        l.replace_range(start..end, value);
+        out.join("\n")
+    };
+    let append = |extra: String| format!("{jsonl}{extra}\n");
+    // (record text, line the error must name, text the error must carry)
+    let cases: Vec<(String, usize, &str)> = vec![
+        (edit(session, "user", "4294967296"), session, "u32::MAX"),
+        (edit(session, "dataset", "4294967296"), session, "u32::MAX"),
+        (edit(session, "dataset", "4"), session, "not in the header"),
+        (edit(request, "user", "4294967296"), request, "u32::MAX"),
+        (edit(request, "dataset", "99"), request, "not in the header"),
+        (
+            edit(request, "transfer_fn", "4294967296"),
+            request,
+            "u32::MAX",
+        ),
+        (
+            append(fault("node_crash", 4294967296, 0)),
+            fault_line,
+            "u32::MAX",
+        ),
+        (append(fault("node_crash", 4, 0)), fault_line, "outside"),
+        (append(fault("node_restore", 7, 0)), fault_line, "outside"),
+        (append(fault("leaf_outage", 3, 2)), fault_line, "outside"),
+        (
+            append(fault("leaf_recover", 0, 4294967296)),
+            fault_line,
+            "u32::MAX",
+        ),
+        (
+            append(fault("node_degrade", 1, 999)),
+            fault_line,
+            "below 1000",
+        ),
+    ];
+    for (text, want_line, want_msg) in cases {
+        let err = ScenarioRecord::parse(&text).expect_err("must not parse");
+        assert_eq!(err.line, want_line, "{err}");
+        assert!(err.msg.contains(want_msg), "{err}");
+    }
+    // In-range values on the same lines still parse.
+    for text in [
+        append(fault("leaf_outage", 2, 2)),
+        append(fault("node_degrade", 3, 1000)),
+        append(fault("shard_crash", 9, 0)),
+    ] {
+        ScenarioRecord::parse(&text).expect("in-range faults parse");
     }
 }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use vizsched_core::prelude::*;
 use vizsched_metrics::{CollectingProbe, TraceEvent};
-use vizsched_sim::{Fault, RunOptions, SimConfig, Simulation};
+use vizsched_sim::{FaultPlan, RunOptions, SimConfig, Simulation};
 
 const GIB: u64 = 1 << 30;
 const MIB: u64 = 1 << 20;
@@ -165,15 +165,12 @@ proptest! {
     fn faults_do_not_lose_jobs(case in workload_case(), crash_ms in 1u64..3_000) {
         prop_assume!(case.nodes >= 2);
         let kind = SchedulerKind::ALL[case.kind_pick];
-        let (sim0, jobs) = build(&case);
-        let mut config = sim0.config().clone();
-        config.faults = vec![
-            Fault { time: SimTime::from_millis(crash_ms), node: NodeId(0), crash: true },
-            Fault { time: SimTime::from_millis(crash_ms + 30_000), node: NodeId(0), crash: false },
-        ];
-        let sim = Simulation::new(config, uniform_datasets(case.datasets, 2 * GIB));
+        let (sim, jobs) = build(&case);
+        let plan = FaultPlan::new()
+            .crash_at(SimTime::from_millis(crash_ms), NodeId(0))
+            .respawn_at(SimTime::from_millis(crash_ms + 30_000), NodeId(0));
         let total = jobs.len();
-        let outcome = sim.run_opts(jobs, RunOptions::new(kind).label("fault"));
+        let outcome = sim.run_opts(jobs, RunOptions::new(kind).label("fault").fault_plan(plan));
         prop_assert_eq!(outcome.incomplete_jobs, 0, "{}", kind.name());
         prop_assert_eq!(outcome.record.jobs.len(), total);
     }
